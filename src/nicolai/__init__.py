@@ -61,6 +61,5 @@ from .ground import (
     replay_word_config,
     replay_word_matrix,
 )
-from .kernels import active_backend
 
 __version__ = "0.1.0"

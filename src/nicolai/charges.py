@@ -12,7 +12,8 @@ commutes with the Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import List, Optional, Tuple
+from itertools import product
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from .fock import (
     FermionMonomial,
@@ -39,6 +40,70 @@ _CHAR = {-1: "-", 1: "+"}
 _VALUE = {"-": -1, "+": 1}
 
 
+def _alternates(a: int, b: int, c: int) -> bool:
+    """The forbidden-triplet rule, for 0/1 bits and for -1/+1 values alike."""
+    return a != b != c
+
+
+def _walk(size: int, pinned: Optional[Mapping[int, int]] = None) -> Iterator[int]:
+    """Every admissible 0/1 word of odd ``size >= 3``, lazily, in lexicographic order.
+
+    A word is admissible when both two-letter edge pairs are constant and no
+    triplet centred at an even offset alternates; under ``-1 <-> 0`` these are
+    the conservation sequences, and on a window with an even low edge the
+    open-boundary ground configurations.  Bit ``p`` of each yielded integer is
+    the letter at offset ``p``.  ``pinned`` maps offsets to required letters.
+    Choices that cannot be completed are pruned before the walk starts, so every
+    branch it enters ends in a word: a pinned walk reaches its first word in
+    time linear in ``size``.
+    """
+    care = want = 0
+    for p, b in (pinned or {}).items():
+        care |= 1 << p
+        want |= b << p
+    # Letter groups: the left edge pair, then the pairs (2j, 2j + 1) whose
+    # triplet centred at 2j reaches back to the letter before them, then the
+    # last letter, which must repeat its neighbour.
+    groups = [(0, 1)] + [(p, p + 1) for p in range(2, size - 1, 2)] + [(size - 1,)]
+    depth = len(groups) - 1
+    # levels[j][a]: the (bits, last letter) choices of group j after letter a
+    # that agree with the pins and that the later groups can complete.
+    levels: List[Tuple[list, list]] = [([], [])] * len(groups)
+    for j in range(depth, -1, -1):
+        group = groups[j]
+        mask = sum(1 << p for p in group)
+        levels[j] = ([], [])
+        for a, letters in product((0, 1), product((0, 1), repeat=len(group))):
+            if j == 0:
+                allowed = letters[0] == letters[1]
+            elif j == depth:
+                allowed = letters[0] == a
+            else:
+                allowed = not _alternates(a, *letters)
+            bits = sum(b << p for b, p in zip(letters, group))
+            if (
+                allowed
+                and (bits ^ want) & care & mask == 0
+                and (j == depth or levels[j + 1][letters[-1]])
+            ):
+                levels[j][a].append((bits, letters[-1]))
+    # Depth-first with an explicit stack of choice iterators, one per group,
+    # because a pinned window can be far wider than the recursion limit.
+    choices, words = [iter(levels[0][0])], [0]
+    while choices:
+        for bits, last in choices[-1]:
+            word = words[-1] | bits
+            if len(choices) > depth:
+                yield word
+            else:
+                choices.append(iter(levels[len(choices)][last]))
+                words.append(word)
+                break
+        else:
+            choices.pop()
+            words.pop()
+
+
 def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
     n = len(values)
     if n < 3 or n % 2 == 0:
@@ -51,8 +116,7 @@ def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
         return "right edge pair must be constant"
     # Positions 2i (even sites) with both neighbors inside the interval.
     for p in range(2, n - 1, 2):
-        triplet = values[p - 1 : p + 2]
-        if triplet == (-1, 1, -1) or triplet == (1, -1, 1):
+        if _alternates(*values[p - 1 : p + 2]):
             return f"forbidden alternating triplet at offset {p}"
     return None
 
@@ -79,6 +143,8 @@ class ConservationSequence:
 
     @classmethod
     def from_string(cls, k: int, l: int, text: str, check: bool = True):
+        if not set(text) <= set(_VALUE):
+            raise ValueError(f"sequence letters must be '-' or '+', got {text!r}")
         return cls(k, l, tuple(_VALUE[ch] for ch in text), check)
 
     @classmethod
@@ -115,36 +181,17 @@ def negate(f: ConservationSequence) -> ConservationSequence:
 
 
 def enumerate_sequences(k: int, l: int) -> List[ConservationSequence]:
-    """All conservation sequences on ``[2k..2l]``, in lexicographic order.
-
-    Depth-first extension site by site with early pruning: the edge pairs must
-    be constant and no even-centered triplet may alternate.
-    """
+    """All conservation sequences on ``[2k..2l]``, in lexicographic order."""
     if k >= l:
         raise ValueError("k < l required")
     n = 2 * (l - k) + 1
-    out: List[ConservationSequence] = []
-    prefix: List[int] = []
-
-    def extend(p: int):
-        if p == n:
-            out.append(ConservationSequence(k, l, tuple(prefix)))
-            return
-        for v in (-1, 1):
-            if p == 1 and v != prefix[0]:
-                continue
-            if p == n - 1 and v != prefix[-1]:
-                continue
-            if p >= 2 and p % 2 == 1:
-                a, b = prefix[p - 2], prefix[p - 1]
-                if (a, b, v) in ((-1, 1, -1), (1, -1, 1)):
-                    continue
-            prefix.append(v)
-            extend(p + 1)
-            prefix.pop()
-
-    extend(0)
-    return out
+    # The walker yields admissible words only, so the sequences skip re-checking.
+    return [
+        ConservationSequence(
+            k, l, tuple(((word >> p) & 1) * 2 - 1 for p in range(n)), check=False
+        )
+        for word in _walk(n)
+    ]
 
 
 def enumerate_union(p: int, q: int) -> List[ConservationSequence]:

@@ -197,7 +197,7 @@ def _cmd_replay(args) -> tuple:
         with open(args.word) as fh:
             raw = fh.read()
     doc = json.loads(raw)
-    if "payload" in doc and "steps" not in doc:
+    if isinstance(doc, dict) and "payload" in doc and "steps" not in doc:
         doc = doc["payload"]
     word = GenerationWord.from_json(doc)
     replayed = replay_word_matrix(word)

@@ -372,7 +372,9 @@ class IntegerSparseOperator:
 
     @classmethod
     def diagonal(cls, window: SiteWindow, diag) -> "IntegerSparseOperator":
-        return cls(window, sps.diags(np.asarray(diag, dtype=np.int64), format="csr"))
+        return cls(
+            window, sps.diags(np.asarray(diag, dtype=np.int64), format="csr", dtype=np.int64)
+        )
 
     @classmethod
     def from_entries(cls, window: SiteWindow, entries: Mapping[Tuple[int, int], int]):

@@ -23,7 +23,13 @@ from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from .charges import ConservationSequence, charge_monomial, enumerate_union
+from .charges import (
+    ConservationSequence,
+    _alternates,
+    _walk,
+    charge_monomial,
+    enumerate_union,
+)
 from .fock import (
     FockVector,
     OccupationConfig,
@@ -62,44 +68,17 @@ class GenerationError(RuntimeError):
 def is_ground_config(g: OccupationConfig) -> bool:
     """True when no even-centered triplet inside the window reads 010 or 101."""
     w = g.window
-    for center in range(w.lo + 1, w.hi):
-        if center % 2 != 0:
-            continue
-        triple = (g.bit(center - 1), g.bit(center), g.bit(center + 1))
-        if triple in ((0, 1, 0), (1, 0, 1)):
-            return False
-    return True
-
-
-def _open_boundary_ok(g: OccupationConfig, k: int, l: int) -> bool:
-    return g.bit(2 * k) == g.bit(2 * k + 1) and g.bit(2 * l - 1) == g.bit(2 * l)
+    return not any(
+        _alternates(g.bit(center - 1), g.bit(center), g.bit(center + 1))
+        for center in range(w.lo + 1, w.hi)
+        if center % 2 == 0
+    )
 
 
 @lru_cache(maxsize=None)
 def _upsilon_hat_cached(k: int, l: int) -> Tuple[OccupationConfig, ...]:
     window = Interval(k, l).inner
-    n = window.size
-    out: List[OccupationConfig] = []
-    prefix: List[int] = []
-
-    def extend(p: int):
-        if p == n:
-            out.append(OccupationConfig.from_bits(window, prefix))
-            return
-        for b in (0, 1):
-            if p == 1 and b != prefix[0]:
-                continue
-            if p == n - 1 and b != prefix[-1]:
-                continue
-            if p >= 2 and p % 2 == 1:
-                if (prefix[p - 2], prefix[p - 1], b) in ((0, 1, 0), (1, 0, 1)):
-                    continue
-            prefix.append(b)
-            extend(p + 1)
-            prefix.pop()
-
-    extend(0)
-    return tuple(out)
+    return tuple(OccupationConfig(window, occ) for occ in _walk(window.size))
 
 
 def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
@@ -243,23 +222,31 @@ class GenerationWord:
 
     @classmethod
     def from_json(cls, payload: dict) -> "GenerationWord":
-        k, l = int(payload["k"]), int(payload["l"])
-        window = Interval(k, l).inner
-        steps = tuple(
-            (
-                ConservationSequence.from_string(int(s["k"]), int(s["l"]), s["values"]),
-                bool(s["adjoint"]),
+        """Parse a serialized word; a malformed document raises ``ValueError``."""
+        if not isinstance(payload, dict):
+            raise ValueError("a generation word must be a JSON object")
+        try:
+            k, l = int(payload["k"]), int(payload["l"])
+            window = Interval(k, l).inner
+            steps = tuple(
+                (
+                    ConservationSequence.from_string(int(s["k"]), int(s["l"]), s["values"]),
+                    bool(s["adjoint"]),
+                )
+                for s in payload["steps"]
             )
-            for s in payload["steps"]
-        )
-        return cls(
-            start=payload["start"],
-            k=k,
-            l=l,
-            steps=steps,
-            target=OccupationConfig.from_string(window, payload["target"]),
-            predicted_sign=int(payload["predicted_sign"]),
-        )
+            return cls(
+                start=payload["start"],
+                k=k,
+                l=l,
+                steps=steps,
+                target=OccupationConfig.from_string(window, payload["target"]),
+                predicted_sign=int(payload["predicted_sign"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"generation word lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed generation word: {exc}") from None
 
 
 def _start_config(start: str, window: SiteWindow) -> OccupationConfig:
@@ -415,7 +402,7 @@ def generate_word(
         target = OccupationConfig.from_string(window, target)
     if target.window != window:
         raise ValueError("target does not live on the interval window")
-    if not (is_ground_config(target) and _open_boundary_ok(target, k, l)):
+    if next(_walk(window.size, dict(enumerate(target.bits))), None) is None:
         raise ValueError("target is not an open-boundary ground configuration")
     depth_cap = 2 * (l - k) + 2
     steps = _word_steps(k, l, start, target.occ, depth_cap)
@@ -443,6 +430,8 @@ def extend_to_interval(assignment: Mapping[int, int]):
     even-edged intervals covering the support from the smallest size upward
     (ties toward smaller left edge) and returns ``(k, l, config)`` for the
     first open-boundary ground configuration agreeing with the assignment.
+    Raises ``ValueError`` when there is none, as for ``{-3: 0, -2: 1, 0: 0,
+    1: 1}``, where the triplets centered at -2 and 0 force site -1 both ways.
     """
     if not assignment:
         raise ValueError("empty assignment")
@@ -451,44 +440,17 @@ def extend_to_interval(assignment: Mapping[int, int]):
         raise ValueError("bits must be 0 or 1")
     for center in sorted(fixed):
         if center % 2 == 0 and center - 1 in fixed and center + 1 in fixed:
-            triple = (fixed[center - 1], fixed[center], fixed[center + 1])
-            if triple in ((0, 1, 0), (1, 0, 1)):
+            if _alternates(fixed[center - 1], fixed[center], fixed[center + 1]):
                 raise ValueError(f"forbidden triplet centered at site {center}")
     lo, hi = min(fixed), max(fixed)
-    size = max(1, -(-hi // 2) - lo // 2)  # smallest l - k covering [lo..hi]
-    while True:
+    smallest = max(1, -(-hi // 2) - lo // 2)  # smallest l - k covering [lo..hi]
+    # Any completion, cut back to one free site beyond the support on each
+    # side (that site copies its inner neighbour), has l - k <= smallest + 2.
+    for size in range(smallest, smallest + 3):
         for k in range(-(-hi // 2) - size, lo // 2 + 1):
-            l = k + size
-            found = _complete_on_interval(fixed, k, l)
-            if found is not None:
-                return k, l, found
-        size += 1
-
-
-def _complete_on_interval(fixed: Mapping[int, int], k: int, l: int):
-    window = Interval(k, l).inner
-    n = window.size
-    prefix: List[int] = []
-
-    def extend(p: int):
-        if p == n:
-            return OccupationConfig.from_bits(window, prefix)
-        for b in (0, 1):
-            site = window.lo + p
-            if site in fixed and fixed[site] != b:
-                continue
-            if p == 1 and b != prefix[0]:
-                continue
-            if p == n - 1 and b != prefix[-1]:
-                continue
-            if p >= 2 and p % 2 == 1:
-                if (prefix[p - 2], prefix[p - 1], b) in ((0, 1, 0), (1, 0, 1)):
-                    continue
-            prefix.append(b)
-            got = extend(p + 1)
-            prefix.pop()
-            if got is not None:
-                return got
-        return None
-
-    return extend(0)
+            window = Interval(k, k + size).inner
+            pinned = {site - window.lo: bit for site, bit in fixed.items()}
+            occ = next(_walk(window.size, pinned), None)
+            if occ is not None:
+                return k, k + size, OccupationConfig(window, occ)
+    raise ValueError("the assignment has no open-boundary ground extension")

@@ -7,113 +7,11 @@ maps it to exactly one other basis state with a Jordan-Wigner sign
 ``(-1)**(occupied bits below the hit bit)``.  ``monomial_action`` computes the
 target index and sign for *all* ``2**w`` basis states at once; it is the inner
 loop of every matrix build in this package.
-
-Two interchangeable backends exist:
-
-* ``"numba"`` (default when numba imports): a jitted per-state loop,
-* ``"numpy"``: a vectorized pure-numpy sweep.
-
-Set ``NICOLAI_KERNEL_BACKEND=numpy`` (or ``numba``) to force one.  Outputs are
-bit-identical across backends; ``benchmarks/bench_kernels.py`` compares their
-speed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_VAR = "NICOLAI_KERNEL_BACKEND"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-
-def _numpy_action(size, pos, dag):
-    dim = 1 << size
-    cur = np.arange(dim, dtype=np.int64)
-    sign = np.ones(dim, dtype=np.int64)
-    alive = np.ones(dim, dtype=bool)
-    for p, d in zip(pos.tolist(), dag.tolist()):
-        bit = (cur >> p) & 1
-        alive &= (bit == 0) if d else (bit == 1)
-        below = (cur & ((1 << p) - 1)).astype(np.uint64)
-        odd = (np.bitwise_count(below).astype(np.int64) & 1).astype(bool)
-        sign = np.where(odd, -sign, sign)
-        cur = np.where(alive, cur ^ (1 << p), cur)
-    targets = np.where(alive, cur, -1)
-    signs = np.where(alive, sign, 0)
-    return targets, signs
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _numba_action(size, pos, dag):  # pragma: no cover - exercised via dispatch
-        dim = 1 << size
-        targets = np.empty(dim, dtype=np.int64)
-        signs = np.empty(dim, dtype=np.int64)
-        for b in range(dim):
-            cur = b
-            sign = 1
-            alive = True
-            for f in range(pos.shape[0]):
-                p = pos[f]
-                bit = (cur >> p) & 1
-                if dag[f] == 1:
-                    if bit == 1:
-                        alive = False
-                        break
-                else:
-                    if bit == 0:
-                        alive = False
-                        break
-                below = cur & ((1 << p) - 1)
-                par = 0
-                while below:
-                    below &= below - 1
-                    par ^= 1
-                if par:
-                    sign = -sign
-                cur ^= 1 << p
-            if alive:
-                targets[b] = cur
-                signs[b] = sign
-            else:
-                targets[b] = -1
-                signs[b] = 0
-        return targets, signs
-
-
-def _resolve_backend(name=None):
-    if name is None:
-        name = os.environ.get(_ENV_VAR, "numba" if _HAVE_NUMBA else "numpy")
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        name = "numpy"
-    return name
-
-
-_BACKEND = _resolve_backend()
-
-
-def active_backend():
-    """Name of the kernel backend currently in use ("numba" or "numpy")."""
-    return _BACKEND
-
-
-def set_backend(name):
-    """Switch the kernel backend; returns the previous backend name."""
-    global _BACKEND
-    previous = _BACKEND
-    _BACKEND = _resolve_backend(name)
-    return previous
 
 
 def monomial_action(size, factors):
@@ -127,10 +25,20 @@ def monomial_action(size, factors):
     """
     if size < 0 or size > 62:
         raise ValueError(f"window size {size} out of range")
-    pos = np.array([p for p, _ in factors], dtype=np.int64)
-    dag = np.array([1 if d else 0 for _, d in factors], dtype=np.int64)
-    if pos.size and (pos.min() < 0 or pos.max() >= size):
+    factors = [(int(p), bool(d)) for p, d in factors]
+    if any(not 0 <= p < size for p, _ in factors):
         raise ValueError("factor bit position outside the window")
-    if _BACKEND == "numba":
-        return _numba_action(size, pos, dag)
-    return _numpy_action(size, pos, dag)
+    dim = 1 << size
+    cur = np.arange(dim, dtype=np.int64)
+    sign = np.ones(dim, dtype=np.int64)
+    alive = np.ones(dim, dtype=bool)
+    for p, d in factors:
+        bit = (cur >> p) & 1
+        alive &= (bit == 0) if d else (bit == 1)
+        below = (cur & ((1 << p) - 1)).astype(np.uint64)
+        odd = (np.bitwise_count(below).astype(np.int64) & 1).astype(bool)
+        sign = np.where(odd, -sign, sign)
+        cur = np.where(alive, cur ^ (1 << p), cur)
+    targets = np.where(alive, cur, -1)
+    signs = np.where(alive, sign, 0)
+    return targets, signs

@@ -1,5 +1,7 @@
 """Conservation sequences, their charge monomials, and the conservation laws."""
 
+import hashlib
+
 import pytest
 
 from nicolai.charges import (
@@ -72,14 +74,55 @@ def test_size_law():
 
 
 def test_sequence_config_bijection():
-    # -1 <-> 0, +1 <-> 1 identifies the sequence space with the config space
+    # -1 <-> 0, +1 <-> 1 identifies the sequence space with the config space,
+    # order included
     for n in range(1, 5):
-        seq_strings = {
+        seq_strings = [
             f.to_string().replace("-", "0").replace("+", "1")
             for f in enumerate_sequences(0, n)
-        }
-        cfg_strings = {g.to_string() for g in enumerate_upsilon_hat(0, n)}
+        ]
+        cfg_strings = [g.to_string() for g in enumerate_upsilon_hat(0, n)]
         assert seq_strings == cfg_strings
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the newline-joined listings; generation words break BFS ties by
+# the order of enumerate_union, so the order is part of the contract.
+SEQUENCE_DIGESTS = {
+    1: "e5c77db851b4a57ac62f27d0fe096396255ba25140b3f0b37074bf9e455577a9",
+    2: "a544b08db15e4fb351f60706181222ffb30f6de8fc205f6f7465748c6f2309f1",
+    3: "f595730227ff87d6da921a5a01fb78be794a8fc1a9f1ca26ab468284ff489f78",
+    4: "63a768aafe3ad80265cd5b458bbaac3f89326a4ca3f88d5d61e424127443884b",
+    5: "5148e38a980f9661cf4089dd30544581ee9644c7383b8e649e77847065758cb0",
+    6: "bc3e14cada691eda10447b5f6ce4c5cf4bafd6421ea8b4178fbaddb9b7f03669",
+    7: "3ad17b0240fd1b519c3c96943cbb2a54146f9b3fcef20c6eac11f291206ca622",
+    8: "2a68c6d57f1411aa853703ec36af501b22267740c52f63b602aa5250db00ee6f",
+}
+CONFIG_DIGESTS = {
+    1: "35d169ef3f3a45d1d56b55790a9ed96eabdcc6ca929d3f4c27412ae4413003b9",
+    2: "bfd963a0318ab11094dd566bde425eda6acb17634c85dbf8abdbdd7807aaf3bb",
+    3: "d40ee153a29bea8188d3cebb3e39167b5fbb5f051d79435fcfc350bbe8af9ec2",
+    4: "7e13f5ef6aac5c18e8f64c85a5816e4839c57431edad24a834cf90356011cd82",
+    5: "8ef119b77ab363d2bb15f1d8bc3df5f31e17341a39fcc6531e3a86c07a032c0b",
+    6: "4c7174eca67c549a0fe96b11888e945449fe3a71d7f2468dff50b3ef0cb0e0eb",
+    7: "a19d4024320909d8afe4bd98f9c1230f1b12c7fd3fa216d367a7a79aa0ed4226",
+    8: "8ab78b2bd08b2acac247b02586d1ef13805e794c3837be35007d9f06f78c0d1b",
+}
+UNION_0_8_DIGEST = "9b1f830505cb2a6507d075e62b0457b386d6930fe74609a19c78345529fc4e46"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_order_digests(n):
+    assert _digest(f.to_string() for f in enumerate_sequences(0, n)) == SEQUENCE_DIGESTS[n]
+    assert _digest(g.to_string() for g in enumerate_upsilon_hat(0, n)) == CONFIG_DIGESTS[n]
+
+
+def test_union_order_digest():
+    union = enumerate_union(0, 8)
+    assert _digest(f"{f.k},{f.l},{f.to_string()}" for f in union) == UNION_0_8_DIGEST
 
 
 def test_union_sizes():

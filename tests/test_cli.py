@@ -1,6 +1,9 @@
 """Command-line interface: payloads, exit codes, round trips."""
 
+import io
 import json
+
+import pytest
 
 from nicolai.cli import main
 
@@ -144,6 +147,21 @@ def test_replay_detects_tampering(capsys, tmp_path):
     word_file.write_text(json.dumps(payload))
     code, doc = _run_json(capsys, "replay", "--word", str(word_file))
     assert code == 1 and doc["status"] == "failure"
+
+
+@pytest.mark.parametrize("text", [
+    '{"start":"fock","k":0,"l":1,"target":"000","predicted_sign":1}',  # no steps
+    "[1,2]",
+    '"payload"',
+    '{"start":"fock","k":0,"l":1,"target":"000","predicted_sign":1,"steps":[7]}',
+    '{"start":"fock","k":0,"l":1,"target":"000","predicted_sign":1,'
+    '"steps":[{"k":0,"l":1,"values":"x++","adjoint":false}]}',
+])
+def test_replay_malformed_word_is_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, doc = _run_json(capsys, "replay", "--word", "-")
+    assert code == 2 and doc["status"] == "failure"
+    assert doc["payload"]["code"] == "usage-error"
 
 
 def test_payload_determinism(capsys):

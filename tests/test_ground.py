@@ -1,6 +1,9 @@
 """Ground-config classification, counting, SUSY vector tests, extension."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicolai.charges import ConservationSequence
 from nicolai.fixtures import load_fixture
@@ -194,6 +197,8 @@ def test_extend_needs_larger_interval():
 def test_extend_rejects_forbidden_input():
     with pytest.raises(ValueError):
         extend_to_interval({1: 0, 2: 1, 3: 0})
+    with pytest.raises(ValueError):  # site -1 would have to be 1 and 0
+        extend_to_interval({-3: 0, -2: 1, 0: 0, 1: 1})
     with pytest.raises(ValueError):
         extend_to_interval({})
 
@@ -206,3 +211,47 @@ def test_extension_agrees_with_assignment():
     for site, bit in assignment.items():
         assert ext.bit(site) == bit
     assert ext in enumerate_upsilon_hat(k, l)
+
+
+def _extension_by_brute_force(assignment):
+    # Smallest even-edged interval covering the support (ties toward the
+    # smaller k), then the lexicographically first bit string on it with
+    # constant edge pairs, no alternating triplet centered at an even site
+    # and the assigned bits; None when no interval inside sites -8..8 has one.
+    lo, hi = min(assignment), max(assignment)
+    intervals = sorted(
+        ((k, l) for k in range(-4, 3) for l in range(k + 1, 5)
+         if 2 * k <= lo and hi <= 2 * l),
+        key=lambda kl: (kl[1] - kl[0], kl[0]),
+    )
+    for k, l in intervals:
+        sites = range(2 * k, 2 * l + 1)
+        for bits in itertools.product((0, 1), repeat=len(sites)):
+            word = dict(zip(sites, bits))
+            if word[sites[0]] != word[sites[1]] or word[sites[-2]] != word[sites[-1]]:
+                continue
+            if any(word[c - 1] == word[c + 1] != word[c] for c in sites[2:-2:2]):
+                continue
+            if all(word[s] == b for s, b in assignment.items()):
+                return k, l, "".join(map(str, bits))
+    return None
+
+
+def _triplet_free(assignment):
+    return not any(
+        assignment[c - 1] == assignment[c + 1] != assignment[c]
+        for c in assignment
+        if c % 2 == 0 and c - 1 in assignment and c + 1 in assignment
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(-4, 4), st.integers(0, 1), min_size=1).filter(_triplet_free))
+def test_extension_matches_brute_force(assignment):
+    expected = _extension_by_brute_force(assignment)
+    if expected is None:
+        with pytest.raises(ValueError):
+            extend_to_interval(assignment)
+    else:
+        k, l, ext = extend_to_interval(assignment)
+        assert (k, l, ext.to_string()) == expected

@@ -1,4 +1,4 @@
-"""Backend parity and correctness of the basis-action kernels."""
+"""Correctness of the basis-action kernel."""
 
 import random
 
@@ -14,29 +14,6 @@ from nicolai.fock import (
     apply_monomial,
     build_matrix,
 )
-
-
-def _random_factors(rng, size, degree):
-    return [(rng.randrange(size), rng.random() < 0.5) for _ in range(degree)]
-
-
-def test_backends_bit_identical():
-    rng = random.Random(7)
-    for size in (1, 3, 6, 9):
-        for _ in range(30):
-            factors = _random_factors(rng, size, rng.randint(0, 5))
-            t_np, s_np = kernels._numpy_action(
-                size,
-                np.array([p for p, _ in factors], dtype=np.int64),
-                np.array([int(d) for _, d in factors], dtype=np.int64),
-            )
-            prev = kernels.set_backend("numba")
-            try:
-                t_nb, s_nb = kernels.monomial_action(size, factors)
-            finally:
-                kernels.set_backend(prev)
-            assert np.array_equal(t_np, t_nb)
-            assert np.array_equal(s_np, s_nb)
 
 
 def test_identity_monomial_action():
@@ -68,11 +45,6 @@ def test_kernel_matches_scalar_application():
                 r: v for (r, c), v in mat.entries().items() if c == occ
             }
             assert column == vec.amplitudes
-
-
-def test_bad_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
 
 
 def test_position_outside_window_rejected():
