@@ -1,5 +1,6 @@
 """Generation words: BFS certificates, explicit constructions, replays."""
 
+import hashlib
 import json
 
 import pytest
@@ -173,3 +174,74 @@ def test_word_json_round_trip():
     assert replay_word_matrix(back) == FockVector.from_config(
         back.target, back.predicted_sign
     )
+
+
+# sha256 over the generation table (one sorted-key JSON word per line, in
+# enumeration order); pins every word, including the BFS tie-breaks
+# (frontier ascending, then move order).
+TABLE_DIGESTS = {
+    (0, 1, "fock"): "d6b2e04fed46563ea26beb6793a52bf60a08b5a7090a7273d5cc0a894b9ac9ff",
+    (0, 1, "occupied"): "c7e3f741d32ff76d1d2690791cd5769fb3b703a78d5a29f61f2a37f736b2e548",
+    (0, 2, "fock"): "8a6dccf05ac50621db59e69c0616128fb9a754e9b2659c1cfd48cf2ed5b6253f",
+    (0, 2, "occupied"): "e2aa76c202cd274a4ebb94740856ccb894d878ba012eb8dc73602079fd75fb07",
+    (0, 3, "fock"): "b77e61c8f97f4abd8ccaa9e429b74554f5cf94b73e7bcdc5677099f7fcb09da0",
+    (0, 3, "occupied"): "a7426980dceb99ee73db5030e78d6b28dedca96837ca1d3ced34431b4336cf7c",
+    (0, 4, "fock"): "16adf1fe05fb2b3d7edf63e7ec70de1925e222adaa17eb6086f43c8bade835d8",
+    (0, 4, "occupied"): "416d3d252c71ce4de8d01dcc60fee798dd98f6812586a67ec39355cfc409240d",
+    (0, 5, "fock"): "b860c564743ca8a008940f1ea87dc63391f320cf455990e08ac27a83ca42a53e",
+    (0, 5, "occupied"): "85387ca79d0dadf7ac9a8ed64bebdd8478db41a15908c1530b832c91bb2af963",
+    (0, 6, "fock"): "e9488b4ad336d95d8c5494c92e03b0692e323dbb233f97787105b4bcdcd086af",
+    (0, 6, "occupied"): "49dc773cb20dfccb127ac8d10e778d149202cd229ca6492f8ac67de5cb6446d1",
+    (-2, 1, "fock"): "b159dd31d302214e21f296731902dd28e4da105e7f88a115ae3e5827570cc096",
+    (-2, 1, "occupied"): "fb8e6620b8e08786fc6d01432b37d7510642ec6450be5e60b62ccc6932944036",
+}
+
+
+@pytest.mark.parametrize("k,l,start", sorted(TABLE_DIGESTS))
+def test_generation_table_digests(k, l, start):
+    h = hashlib.sha256()
+    for word in generation_table(k, l, start).values():
+        h.update(json.dumps(word.to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == TABLE_DIGESTS[(k, l, start)]
+
+
+def _steps(*triples):
+    return [{"adjoint": adj, "k": k, "l": l, "values": v} for adj, k, l, v in triples]
+
+
+# Two n=8 targets per start: 00011100001100011 and one whose word has the
+# greatest length found at n=8 (8 steps).
+N8_WORDS = [
+    ("fock", "00011100001100011", 1, _steps(
+        (True, 3, 4, "---"), (True, 0, 4, "------+++"), (False, 0, 1, "---"),
+        (True, 6, 7, "---"), (True, 5, 8, "--+++--"),
+    )),
+    ("fock", "00010011001100111", 1, _steps(
+        (True, 2, 3, "---"), (True, 0, 3, "----+++"), (True, 4, 5, "---"),
+        (True, 3, 5, "--+++"), (True, 6, 7, "---"), (True, 5, 7, "--+++"),
+        (False, 0, 1, "---"), (True, 7, 8, "---"),
+    )),
+    ("occupied", "00011100001100011", -1, _steps(
+        (False, 3, 8, "-----------"), (False, 0, 1, "---"), (True, 6, 7, "---"),
+        (True, 5, 8, "--+++--"),
+    )),
+    ("occupied", "00011001100110111", -1, _steps(
+        (False, 0, 8, "-----------------"), (True, 0, 1, "---"),
+        (False, 0, 2, "---++"), (True, 0, 3, "---++--"), (False, 0, 4, "---++--++"),
+        (True, 0, 5, "---++--++--"), (False, 0, 6, "---++--++--++"),
+        (True, 7, 8, "---"),
+    )),
+]
+
+
+@pytest.mark.parametrize("start,target,sign,steps", N8_WORDS)
+def test_n8_word_payloads(start, target, sign, steps):
+    word = generate_word(target, start, 0, 8)
+    assert word.to_json() == {
+        "start": start,
+        "k": 0,
+        "l": 8,
+        "target": target,
+        "steps": steps,
+        "predicted_sign": sign,
+    }
