@@ -35,7 +35,7 @@ _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 
-_ENUMERATE_CAP = 12  # direct enumeration bound for counting
+_ENUMERATE_CAP = 12  # direct enumeration bound for enumerate and count
 
 
 _REASON_CODES = {
@@ -98,8 +98,14 @@ def _guard_dimension(size: int, max_dim: int):
         )
 
 
+def _guard_enumeration(n: int):
+    if n > _ENUMERATE_CAP:
+        raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
+
+
 def _cmd_enumerate(args) -> tuple:
     n = args.n
+    _guard_enumeration(n)
     if args.kind == "ground-configs":
         items = [g.to_string() for g in enumerate_upsilon_hat(0, n)]
         payload = {"k": 0, "l": n, "kind": args.kind, "count": len(items), "items": items}
@@ -118,10 +124,7 @@ def _cmd_count(args) -> tuple:
     if args.method in ("transfer", "both"):
         methods["transfer"] = count_transfer(n)
     if args.method in ("enumerate", "both"):
-        if n > _ENUMERATE_CAP:
-            raise _CommandFailure(
-                _EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}"
-            )
+        _guard_enumeration(n)
         methods["enumerate"] = len(enumerate_upsilon_hat(0, n))
     counts = set(methods.values())
     if len(counts) != 1:

@@ -16,10 +16,9 @@ a replayable certificate with its exact sign.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,10 +30,11 @@ from .charges import (
     enumerate_union,
 )
 from .fock import (
+    FermionMonomial,
     FockVector,
     OccupationConfig,
     SiteWindow,
-    apply_ladder,
+    apply_monomial,
     build_matrix,
 )
 from .model import Interval, build_supercharge
@@ -171,25 +171,20 @@ def charge_action_on_config(
     """Config-level action of a charge monomial (or its adjoint).
 
     Returns ``(new_config, sign)`` or ``None`` when the product state is
-    annihilated.  This walks the ladder factors one by one on occupation bits
-    and is deliberately independent of the matrix pipeline.
+    annihilated.  This walks the ladder factors on occupation bits
+    (``apply_monomial``) and is deliberately independent of the matrix
+    pipeline.
     """
     window = g.window
     if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
         raise ValueError("sequence interval not inside the config window")
-    if use_adjoint:
-        order = [(site, f.value_at(site) == -1) for site in f.sites]
-    else:
-        order = [(site, f.value_at(site) == 1) for site in reversed(f.sites)]
-    sign = 1
-    cfg = g
-    for site, dagger in order:
-        step = apply_ladder(cfg, site, dagger)
-        if step is None:
-            return None
-        cfg, s = step
-        sign *= s
-    return cfg, sign
+    image = apply_monomial(_step_monomial(f, use_adjoint), FockVector.from_config(g))
+    return image.classical_config()
+
+
+def _step_monomial(f: ConservationSequence, adjoint: bool) -> FermionMonomial:
+    mono = charge_monomial(f)
+    return mono.adjoint() if adjoint else mono
 
 
 # -- generation by breadth-first search --------------------------------------
@@ -290,68 +285,44 @@ def _moves(k: int, l: int):
 
 
 @lru_cache(maxsize=None)
-def _reachability(k: int, l: int, start: str, depth_cap: int):
-    """BFS over all configurations of the interval window from a start config.
+def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[Tuple[int, int]]]:
+    """Breadth-first search from a start config, run until nothing new appears.
 
-    Returns ``(parent, via, closed)``: predecessor config and move index per
-    discovered config (-1 elsewhere), plus whether the search closed before
-    hitting the depth cap.  Ties break lexicographically (frontier ascending,
-    then move order), which makes the certificates deterministic.
+    Returns the search tree: each reached configuration maps to its
+    ``(predecessor, move index)``, the start to ``None``.  Ties break
+    lexicographically (frontier ascending, then move order), which makes the
+    certificates deterministic.
     """
-    window = Interval(k, l).inner
-    dim = window.dimension
-    steps, supports, required = _moves(k, l)
-    parent = np.full(dim, -1, dtype=np.int64)
-    via = np.full(dim, -1, dtype=np.int64)
-    start_occ = _start_config(start, window).occ
-    parent[start_occ] = start_occ
-    frontier = np.array([start_occ], dtype=np.int64)
-    closed = False
-    for _ in range(depth_cap):
-        next_nodes: List[np.ndarray] = []
-        for chunk_lo in range(0, frontier.size, 1024):
-            chunk = frontier[chunk_lo : chunk_lo + 1024]
-            ok = (chunk[:, None] & supports[None, :]) == required[None, :]
-            src_idx, mv_idx = np.nonzero(ok)
-            if src_idx.size == 0:
-                continue
-            dst = chunk[src_idx] ^ supports[mv_idx]
-            # keep the first (row-major) discovery of each destination
-            _, first = np.unique(dst, return_index=True)
-            order = np.sort(first)
-            dst, src_idx, mv_idx = dst[order], src_idx[order], mv_idx[order]
-            fresh = parent[dst] < 0
-            dst, src_idx, mv_idx = dst[fresh], src_idx[fresh], mv_idx[fresh]
-            parent[dst] = chunk[src_idx]
-            via[dst] = mv_idx
-            next_nodes.append(dst)
-        if not next_nodes:
-            closed = True
-            break
-        frontier = np.sort(np.concatenate(next_nodes))
-    return parent, via, closed
-
-
-def _word_steps(k: int, l: int, start: str, target_occ: int, depth_cap: int):
-    steps, _, _ = _moves(k, l)
-    parent, via, closed = _reachability(k, l, start, depth_cap)
-    if parent[target_occ] < 0:
-        if closed:
-            raise GenerationError(
-                f"configuration {target_occ:b} on interval ({k},{l}) is unreachable "
-                f"from the {start} vector: generation theorem violated at this size"
-            )
-        warnings.warn(
-            f"depth cap {depth_cap} too small for interval ({k},{l}); retrying deeper",
-            stacklevel=3,
-        )
-        return _word_steps(k, l, start, target_occ, max(2 * depth_cap, 1))
-    chain = []
-    cur = int(target_occ)
+    _, supports, required = _moves(k, l)
     start_occ = _start_config(start, Interval(k, l).inner).occ
-    while cur != start_occ:
-        chain.append(steps[int(via[cur])])
-        cur = int(parent[cur])
+    tree = {start_occ: None}
+    frontier = [start_occ]
+    while frontier:
+        fresh = []
+        for node in frontier:
+            moves = np.flatnonzero((node & supports) == required)
+            for dst, move in zip((node ^ supports[moves]).tolist(), moves.tolist()):
+                if dst not in tree:
+                    tree[dst] = (node, move)
+                    fresh.append(dst)
+        frontier = sorted(fresh)
+    return tree
+
+
+def _word_steps(k: int, l: int, start: str, target_occ: int):
+    tree = _reachability(k, l, start)
+    if target_occ not in tree:
+        raise GenerationError(
+            f"configuration {target_occ:b} on interval ({k},{l}) is unreachable "
+            f"from the {start} vector: generation theorem violated at this size"
+        )
+    steps, _, _ = _moves(k, l)
+    chain = []
+    link = tree[target_occ]
+    while link is not None:
+        node, move = link
+        chain.append(steps[move])
+        link = tree[node]
     chain.reverse()
     return tuple(chain)
 
@@ -372,10 +343,7 @@ def replay_word_config(word: GenerationWord):
 
 @lru_cache(maxsize=None)
 def _charge_matrix(f: ConservationSequence, adjoint: bool, window: SiteWindow):
-    mono = charge_monomial(f)
-    if adjoint:
-        mono = mono.adjoint()
-    return build_matrix(mono, window)
+    return build_matrix(_step_monomial(f, adjoint), window)
 
 
 def replay_word_matrix(word: GenerationWord) -> FockVector:
@@ -404,8 +372,7 @@ def generate_word(
         raise ValueError("target does not live on the interval window")
     if next(_walk(window.size, dict(enumerate(target.bits))), None) is None:
         raise ValueError("target is not an open-boundary ground configuration")
-    depth_cap = 2 * (l - k) + 2
-    steps = _word_steps(k, l, start, target.occ, depth_cap)
+    steps = _word_steps(k, l, start, target.occ)
     word = GenerationWord(start, k, l, steps, target, 1)
     cfg, sign = replay_word_config(word)
     if cfg != target:

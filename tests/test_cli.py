@@ -46,6 +46,12 @@ def test_enumerate_csv(capsys):
     assert out.splitlines() == ["config", "000", "111"]
 
 
+def test_enumerate_size_guard(capsys):
+    code, doc = _run_json(capsys, "enumerate", "charges", "--n", "13")
+    assert code == 3 and doc["status"] == "failure"
+    assert doc["payload"] == {"code": "resource-limit", "reason": "enumeration capped at n <= 12"}
+
+
 def test_count_both_methods(capsys):
     code, doc = _run_json(capsys, "count", "--n", "3")
     assert code == 0

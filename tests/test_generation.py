@@ -6,7 +6,7 @@ import json
 import pytest
 
 from nicolai.charges import ConservationSequence
-from nicolai.fock import FockVector, OccupationConfig, SiteWindow
+from nicolai.fock import FockVector, OccupationConfig
 from nicolai.ground import (
     GenerationWord,
     enumerate_upsilon_hat,
@@ -155,15 +155,6 @@ def test_generation_off_origin():
         assert replay_word_matrix(word) == FockVector.from_config(
             word.target, word.predicted_sign
         )
-
-
-def test_depth_cap_retry_warns():
-    from nicolai.ground import _word_steps
-
-    target = OccupationConfig.from_string(SiteWindow(0, 4), "00011").occ
-    with pytest.warns(UserWarning, match="depth cap"):
-        steps = _word_steps(0, 2, "fock", target, 1)
-    assert len(steps) == 2
 
 
 def test_word_json_round_trip():
