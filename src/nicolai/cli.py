@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument(
-        "--max-dim", type=int, default=1 << 14, help="largest allowed matrix dimension"
+        "--max-dim", type=int, default=1 << 19, help="largest allowed matrix dimension"
     )
     parser.add_argument("--output", help="write the result document to this file")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -27,7 +27,6 @@ from .charges import (
     _alternates,
     _walk,
     charge_monomial,
-    enumerate_union,
 )
 from .fock import (
     FermionMonomial,
@@ -253,35 +252,42 @@ def _start_config(start: str, window: SiteWindow) -> OccupationConfig:
 
 
 @lru_cache(maxsize=None)
-def _moves(k: int, l: int):
+def _moves(k: int, l: int) -> Tuple[np.ndarray, np.ndarray]:
     """Ordered move set: every sequence in the union space, both adjoint flags.
 
     Acting on a product state, a charge requires a fixed bit pattern on its
     support and then flips the whole support, so applicability is two integer
-    operations per move.
+    operations per move.  Moves follow ``enumerate_union(k, l)``, the plain
+    action of each sequence before its adjoint, and are built from the packed
+    words of ``_walk`` (bit set where the sequence is ``+1``) without making
+    a sequence object per move.
     """
-    base = 2 * k
-    steps: List[Tuple[ConservationSequence, bool]] = []
-    supports: List[int] = []
-    required: List[int] = []
-    for f in enumerate_union(k, l):
-        support = 0
-        plus = 0
-        for site in f.sites:
-            support |= 1 << (site - base)
-            if f.value_at(site) == 1:
-                plus |= 1 << (site - base)
-        for adjoint in (False, True):
-            steps.append((f, adjoint))
-            supports.append(support)
+    supports: List[np.ndarray] = []
+    required: List[np.ndarray] = []
+    for lo in range(k, l):
+        for hi in range(lo + 1, l + 1):
+            size = 2 * (hi - lo) + 1
+            shift = 2 * (lo - k)
+            plus = np.fromiter(_walk(size), dtype=np.int64) << shift
+            support = np.full(plus.size, ((1 << size) - 1) << shift, dtype=np.int64)
+            supports.append(np.repeat(support, 2))
             # plain action annihilates where f = -1 (occupied bits required);
             # the adjoint annihilates where f = +1.
-            required.append(plus if adjoint else support ^ plus)
-    return (
-        steps,
-        np.array(supports, dtype=np.int64),
-        np.array(required, dtype=np.int64),
-    )
+            required.append(np.stack((support ^ plus, plus), axis=1).ravel())
+    return np.concatenate(supports), np.concatenate(required)
+
+
+def _move_step(k: int, l: int, move: int) -> Tuple[ConservationSequence, bool]:
+    """The ``(sequence, adjoint)`` pair of one move of ``_moves(k, l)``."""
+    supports, required = _moves(k, l)
+    support = int(supports[move])
+    adjoint = bool(move & 1)
+    plus = int(required[move]) ^ (0 if adjoint else support)
+    shift = (support & -support).bit_length() - 1
+    size = support.bit_count()
+    lo = k + shift // 2
+    values = tuple(((plus >> (shift + p)) & 1) * 2 - 1 for p in range(size))
+    return ConservationSequence(lo, lo + size // 2, values, check=False), adjoint
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +299,7 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[Tuple[int, i
     lexicographically (frontier ascending, then move order), which makes the
     certificates deterministic.
     """
-    _, supports, required = _moves(k, l)
+    supports, required = _moves(k, l)
     start_occ = _start_config(start, Interval(k, l).inner).occ
     tree = {start_occ: None}
     frontier = [start_occ]
@@ -316,12 +322,11 @@ def _word_steps(k: int, l: int, start: str, target_occ: int):
             f"configuration {target_occ:b} on interval ({k},{l}) is unreachable "
             f"from the {start} vector: generation theorem violated at this size"
         )
-    steps, _, _ = _moves(k, l)
     chain = []
     link = tree[target_occ]
     while link is not None:
         node, move = link
-        chain.append(steps[move])
+        chain.append(_move_step(k, l, move))
         link = tree[node]
     chain.reverse()
     return tuple(chain)

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nicolai
 from nicolai.cli import main
 
 
@@ -114,6 +119,27 @@ def test_spectrum_resource_guard(capsys):
     code, doc = _run_json(capsys, "--max-dim", "8", "spectrum", "--n", "2", "--edge", "open")
     assert code == 3
     assert "max-dim" in doc["payload"]["reason"]
+
+
+def test_spectrum_default_max_dim_admits_n6(capsys):
+    # dimension 2**15, rejected by the earlier default of 2**14
+    code, doc = _run_json(capsys, "spectrum", "--n", "6", "--edge", "open")
+    assert code == 0
+    assert doc["payload"]["kernel_dimension"] == 7040
+    assert len(doc["payload"]["eigenvalues"]) == 1 << 15
+
+
+def test_spectrum_payload_independent_of_blas_threads():
+    src = str(Path(nicolai.__file__).resolve().parents[1])
+    payloads = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nicolai.cli", "spectrum", "--n", "5", "--edge", "open"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        payloads.append(json.dumps(json.loads(proc.stdout)["payload"]).encode())
+    assert payloads[0] == payloads[1]
 
 
 def test_generate_and_replay_round_trip(capsys, tmp_path):

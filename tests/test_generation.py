@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nicolai.charges import ConservationSequence
+from nicolai.charges import ConservationSequence, enumerate_union
 from nicolai.fock import FockVector, OccupationConfig
 from nicolai.ground import (
     GenerationWord,
@@ -15,6 +15,7 @@ from nicolai.ground import (
     replay_word_config,
     replay_word_matrix,
 )
+from nicolai.ground import _move_step, _moves
 from nicolai.model import Interval
 
 
@@ -186,6 +187,16 @@ TABLE_DIGESTS = {
     (-2, 1, "fock"): "b159dd31d302214e21f296731902dd28e4da105e7f88a115ae3e5827570cc096",
     (-2, 1, "occupied"): "fb8e6620b8e08786fc6d01432b37d7510642ec6450be5e60b62ccc6932944036",
 }
+
+
+@pytest.mark.parametrize("k,l", [(0, 1), (0, 3), (-2, 1), (1, 5)])
+def test_moves_follow_the_union_space(k, l):
+    # the packed move arrays encode enumerate_union, plain before adjoint
+    supports, required = _moves(k, l)
+    expected = [(f, adj) for f in enumerate_union(k, l) for adj in (False, True)]
+    assert supports.size == required.size == len(expected)
+    decoded = [_move_step(k, l, move) for move in range(supports.size)]
+    assert decoded == expected
 
 
 @pytest.mark.parametrize("k,l,start", sorted(TABLE_DIGESTS))

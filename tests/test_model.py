@@ -11,7 +11,7 @@ from nicolai.fock import (
     number_operator,
     parity_operator,
 )
-from nicolai.intrank import integer_rank, rows_from_csr
+from nicolai.intrank import integer_rank, rows_from_csr, stacked_nullity
 from nicolai.model import (
     Interval,
     build_supercharge,
@@ -206,3 +206,62 @@ def test_sector_spectrum_merging():
     assert payload["interval"] == [0, 1] and payload["edge_mode"] == "open"
     with pytest.raises(ValueError):
         spectrum(m, 99)
+
+
+def _dense_sector_oracle(m, sector):
+    """The earlier spectrum path, kept as an oracle: a dense ``eigvalsh`` of the
+    whole particle-number sector and the exact nullity of ``[Q; Q*]`` on it."""
+    states = np.arange(m.window.dimension, dtype=np.uint64)
+    cols = np.flatnonzero(np.bitwise_count(states) == sector)
+    block = m.H.mat[cols][:, cols].toarray().astype(float)
+    return np.linalg.eigvalsh(block), stacked_nullity([m.Q.mat, m.Qdag.mat], cols)
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("open", n) for n in (1, 2, 3, 4)] + [("closed", n) for n in (2, 3, 4, 5)]
+)
+def test_block_spectrum_matches_dense_sector_oracle(mode, n):
+    m = build_supercharge((0, n), mode)
+    merged, merged_kernel = [], 0
+    for sector in range(m.window.size + 1):
+        expected, kernel = _dense_sector_oracle(m, sector)
+        rep = spectrum(m, sector)
+        assert rep.kernel_dimension == kernel
+        assert len(rep.eigenvalues) == expected.size
+        assert np.max(np.abs(np.array(rep.eigenvalues) - np.sort(expected))) <= 1e-12
+        merged.append(expected)
+        merged_kernel += kernel
+    rep = spectrum(m, "all")
+    expected = np.sort(np.concatenate(merged))
+    assert rep.kernel_dimension == merged_kernel
+    assert len(rep.eigenvalues) == expected.size == m.window.dimension
+    assert np.max(np.abs(np.array(rep.eigenvalues) - expected)) <= 1e-12
+
+
+# Exact kernel dimensions of spectrum(..., "all") on [0..2n]: open n = 1..7 and
+# closed n = 2..8.
+OPEN_KERNELS = (20, 64, 208, 672, 2176, 7040, 22784)
+CLOSED_KERNELS = (24, 80, 256, 832, 2688, 8704, 28160)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_kernel_dimension_closed_forms_observed():
+    # observed on the pinned sizes, not proven: 2^(n+1) F(n+4) for the open
+    # window and 2^(n+1) F(n+2) for the closed one
+    assert OPEN_KERNELS == tuple(2 ** (n + 1) * _fibonacci(n + 4) for n in range(1, 8))
+    assert CLOSED_KERNELS == tuple(2 ** (n + 1) * _fibonacci(n + 2) for n in range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "mode,n,kernel",
+    [("open", n, d) for n, d in zip(range(1, 8), OPEN_KERNELS)]
+    + [("closed", n, d) for n, d in zip(range(2, 9), CLOSED_KERNELS)],
+)
+def test_kernel_dimension_table(mode, n, kernel):
+    assert spectrum(build_supercharge((0, n), mode), "all").kernel_dimension == kernel
