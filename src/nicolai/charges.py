@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import product
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .fock import (
     FermionMonomial,
@@ -45,29 +47,29 @@ def _alternates(a: int, b: int, c: int) -> bool:
     return a != b != c
 
 
-def _walk(size: int, pinned: Optional[Mapping[int, int]] = None) -> Iterator[int]:
-    """Every admissible 0/1 word of odd ``size >= 3``, lazily, in lexicographic order.
+def _levels(size: int, pinned: Optional[Mapping[int, int]] = None) -> List[Tuple[list, list]]:
+    """The pruned choice table of the admissible 0/1 words of odd ``size >= 3``.
 
     A word is admissible when both two-letter edge pairs are constant and no
     triplet centred at an even offset alternates; under ``-1 <-> 0`` these are
     the conservation sequences, and on a window with an even low edge the
-    open-boundary ground configurations.  Bit ``p`` of each yielded integer is
-    the letter at offset ``p``.  ``pinned`` maps offsets to required letters.
-    Choices that cannot be completed are pruned before the walk starts, so every
-    branch it enters ends in a word: a pinned walk reaches its first word in
-    time linear in ``size``.
+    open-boundary ground configurations.  Bit ``p`` of a word is the letter at
+    offset ``p``; ``pinned`` maps offsets to required letters.
+
+    The letters come in groups: the left edge pair, then the pairs
+    ``(2j, 2j + 1)`` whose triplet centred at ``2j`` reaches back to the letter
+    before them, then the last letter, which must repeat its neighbour.  Entry
+    ``[j][a]`` lists the ``(bits, last letter)`` choices of group ``j`` after
+    letter ``a``, in lexicographic order, that agree with the pins and that the
+    later groups can complete.  So every choice ends in a word, and reading
+    the table in order gives the words in lexicographic order.
     """
     care = want = 0
     for p, b in (pinned or {}).items():
         care |= 1 << p
         want |= b << p
-    # Letter groups: the left edge pair, then the pairs (2j, 2j + 1) whose
-    # triplet centred at 2j reaches back to the letter before them, then the
-    # last letter, which must repeat its neighbour.
     groups = [(0, 1)] + [(p, p + 1) for p in range(2, size - 1, 2)] + [(size - 1,)]
     depth = len(groups) - 1
-    # levels[j][a]: the (bits, last letter) choices of group j after letter a
-    # that agree with the pins and that the later groups can complete.
     levels: List[Tuple[list, list]] = [([], [])] * len(groups)
     for j in range(depth, -1, -1):
         group = groups[j]
@@ -87,21 +89,61 @@ def _walk(size: int, pinned: Optional[Mapping[int, int]] = None) -> Iterator[int
                 and (j == depth or levels[j + 1][letters[-1]])
             ):
                 levels[j][a].append((bits, letters[-1]))
-    # Depth-first with an explicit stack of choice iterators, one per group,
-    # because a pinned window can be far wider than the recursion limit.
-    choices, words = [iter(levels[0][0])], [0]
-    while choices:
-        for bits, last in choices[-1]:
-            word = words[-1] | bits
-            if len(choices) > depth:
-                yield word
-            else:
-                choices.append(iter(levels[len(choices)][last]))
-                words.append(word)
-                break
-        else:
-            choices.pop()
-            words.pop()
+    return levels
+
+
+def _words(size: int) -> np.ndarray:
+    """Every admissible word of odd ``size`` (see ``_levels``) as one int64 array.
+
+    Expands the choice table one group at a time: each word so far gets the
+    (at most four) choices after its last letter as one row of a candidate
+    grid, and the grid's valid cells, read row by row, are the longer words,
+    still in lexicographic order.
+    """
+    if size > 62:
+        raise ValueError(f"words of {size} letters do not fit in int64")
+    levels = _levels(size)
+    words = np.array([bits for bits, _ in levels[0][0]], dtype=np.int64)
+    lasts = np.array([last for _, last in levels[0][0]], dtype=np.intp)
+    for level in levels[1:]:
+        width = max(len(choices) for choices in level)
+        bits = np.zeros((2, width), dtype=np.int64)
+        last = np.zeros((2, width), dtype=np.intp)
+        valid = np.zeros((2, width), dtype=bool)
+        for a, choices in enumerate(level):
+            for i, (b, c) in enumerate(choices):
+                bits[a, i], last[a, i], valid[a, i] = b, c, True
+        keep = valid[lasts]
+        words = (words[:, None] | bits[lasts])[keep]
+        lasts = last[lasts][keep]
+    return words
+
+
+def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
+    """The lexicographically first admissible word agreeing with ``pinned``, or None.
+
+    The table is pruned, so the first choice at every level completes: this
+    takes time linear in ``size``, however wide the window.
+    """
+    levels = _levels(size, pinned)
+    if not levels[0][0]:
+        return None
+    word = a = 0
+    for level in levels:
+        bits, a = level[a][0]
+        word |= bits
+    return word
+
+
+def _unpack(words: np.ndarray, size: int) -> np.ndarray:
+    """The letters of packed words, one row per word."""
+    return (words[:, None] >> np.arange(size)) & 1
+
+
+def _spell(words: np.ndarray, size: int, letters: str) -> List[str]:
+    """The ``size``-letter strings of packed words, ``letters[b]`` for bit ``b``."""
+    table = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
+    return table[_unpack(words, size)].view(f"S{size}").ravel().astype(f"U{size}").tolist()
 
 
 def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
@@ -185,13 +227,9 @@ def enumerate_sequences(k: int, l: int) -> List[ConservationSequence]:
     if k >= l:
         raise ValueError("k < l required")
     n = 2 * (l - k) + 1
-    # The walker yields admissible words only, so the sequences skip re-checking.
-    return [
-        ConservationSequence(
-            k, l, tuple(((word >> p) & 1) * 2 - 1 for p in range(n)), check=False
-        )
-        for word in _walk(n)
-    ]
+    values = _unpack(_words(n), n) * 2 - 1
+    # Admissible words only, so the sequences skip re-checking.
+    return [ConservationSequence(k, l, v, check=False) for v in values.tolist()]
 
 
 def enumerate_union(p: int, q: int) -> List[ConservationSequence]:

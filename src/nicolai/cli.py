@@ -17,13 +17,12 @@ import os
 import sys
 import time
 
-from .charges import enumerate_sequences
+from .charges import _spell, _words
 from .fock import FockVector, OccupationConfig
 from .ground import (
     GenerationError,
     GenerationWord,
     count_transfer,
-    enumerate_upsilon_hat,
     generate_word,
     replay_word_matrix,
 )
@@ -103,18 +102,26 @@ def _guard_enumeration(n: int):
         raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
 
 
+def _admissible_words(n: int):
+    """The packed admissible words on ``[0..2n]``: the ground configurations,
+    and the conservation sequences with bit 1 for ``+1``."""
+    _guard_enumeration(n)
+    if n < 1:
+        raise ValueError("k < l required")
+    return _words(2 * n + 1)
+
+
 def _cmd_enumerate(args) -> tuple:
     n = args.n
-    _guard_enumeration(n)
+    words = _admissible_words(n)
     if args.kind == "ground-configs":
-        items = [g.to_string() for g in enumerate_upsilon_hat(0, n)]
-        payload = {"k": 0, "l": n, "kind": args.kind, "count": len(items), "items": items}
+        items = _spell(words, 2 * n + 1, "01")
         rows = [("config",)] + [(s,) for s in items]
     else:
-        seqs = enumerate_sequences(0, n)
-        items = [f.to_json() for f in seqs]
-        payload = {"k": 0, "l": n, "kind": args.kind, "count": len(items), "items": items}
-        rows = [("k", "l", "values")] + [(f.k, f.l, f.to_string()) for f in seqs]
+        values = _spell(words, 2 * n + 1, "-+")
+        items = [{"k": 0, "l": n, "values": v} for v in values]
+        rows = [("k", "l", "values")] + [(0, n, v) for v in values]
+    payload = {"k": 0, "l": n, "kind": args.kind, "count": len(items), "items": items}
     return payload, rows
 
 
@@ -124,8 +131,7 @@ def _cmd_count(args) -> tuple:
     if args.method in ("transfer", "both"):
         methods["transfer"] = count_transfer(n)
     if args.method in ("enumerate", "both"):
-        _guard_enumeration(n)
-        methods["enumerate"] = len(enumerate_upsilon_hat(0, n))
+        methods["enumerate"] = len(_admissible_words(n))
     counts = set(methods.values())
     if len(counts) != 1:
         raise _CommandFailure(_EXIT_FAILURE, f"counting methods disagree: {methods}")
@@ -173,6 +179,7 @@ def _cmd_spectrum(args) -> tuple:
 def _cmd_generate(args) -> tuple:
     n = args.n
     window = Interval(0, n).inner
+    _guard_dimension(window.size, args.max_dim)
     try:
         target = OccupationConfig.from_string(window, args.target)
     except ValueError as exc:
@@ -203,6 +210,7 @@ def _cmd_replay(args) -> tuple:
     if isinstance(doc, dict) and "payload" in doc and "steps" not in doc:
         doc = doc["payload"]
     word = GenerationWord.from_json(doc)
+    _guard_dimension(word.target.window.size, args.max_dim)
     replayed = replay_word_matrix(word)
     expected = FockVector.from_config(word.target, word.predicted_sign)
     if replayed != expected:

@@ -85,9 +85,6 @@ class SiteWindow:
     def contains(self, site: int) -> bool:
         return self.lo <= site <= self.hi
 
-    def covers(self, other: "SiteWindow") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def bit(self, site: int) -> int:
         """Bit position of ``site``; raises if the site is outside."""
         if not self.contains(site):
@@ -137,12 +134,6 @@ class OccupationConfig:
 
     def complement(self) -> "OccupationConfig":
         return OccupationConfig(self.window, self.occ ^ (self.window.dimension - 1))
-
-    def restrict(self, window: SiteWindow) -> "OccupationConfig":
-        if not self.window.covers(window):
-            raise ValueError("restriction window is not contained in the config window")
-        shifted = self.occ >> (window.lo - self.window.lo)
-        return OccupationConfig(window, shifted & (window.dimension - 1))
 
 
 def apply_ladder(config: OccupationConfig, site: int, dagger: bool):

@@ -25,7 +25,8 @@ import numpy as np
 from .charges import (
     ConservationSequence,
     _alternates,
-    _walk,
+    _first_word,
+    _words,
     charge_monomial,
 )
 from .fock import (
@@ -77,7 +78,7 @@ def is_ground_config(g: OccupationConfig) -> bool:
 @lru_cache(maxsize=None)
 def _upsilon_hat_cached(k: int, l: int) -> Tuple[OccupationConfig, ...]:
     window = Interval(k, l).inner
-    return tuple(OccupationConfig(window, occ) for occ in _walk(window.size))
+    return tuple(OccupationConfig(window, occ) for occ in _words(window.size).tolist())
 
 
 def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
@@ -259,7 +260,7 @@ def _moves(k: int, l: int) -> Tuple[np.ndarray, np.ndarray]:
     support and then flips the whole support, so applicability is two integer
     operations per move.  Moves follow ``enumerate_union(k, l)``, the plain
     action of each sequence before its adjoint, and are built from the packed
-    words of ``_walk`` (bit set where the sequence is ``+1``) without making
+    words of ``_words`` (bit set where the sequence is ``+1``) without making
     a sequence object per move.
     """
     supports: List[np.ndarray] = []
@@ -268,7 +269,7 @@ def _moves(k: int, l: int) -> Tuple[np.ndarray, np.ndarray]:
         for hi in range(lo + 1, l + 1):
             size = 2 * (hi - lo) + 1
             shift = 2 * (lo - k)
-            plus = np.fromiter(_walk(size), dtype=np.int64) << shift
+            plus = _words(size) << shift
             support = np.full(plus.size, ((1 << size) - 1) << shift, dtype=np.int64)
             supports.append(np.repeat(support, 2))
             # plain action annihilates where f = -1 (occupied bits required);
@@ -375,7 +376,7 @@ def generate_word(
         target = OccupationConfig.from_string(window, target)
     if target.window != window:
         raise ValueError("target does not live on the interval window")
-    if next(_walk(window.size, dict(enumerate(target.bits))), None) is None:
+    if _first_word(window.size, dict(enumerate(target.bits))) is None:
         raise ValueError("target is not an open-boundary ground configuration")
     steps = _word_steps(k, l, start, target.occ)
     word = GenerationWord(start, k, l, steps, target, 1)
@@ -422,7 +423,7 @@ def extend_to_interval(assignment: Mapping[int, int]):
         for k in range(-(-hi // 2) - size, lo // 2 + 1):
             window = Interval(k, k + size).inner
             pinned = {site - window.lo: bit for site, bit in fixed.items()}
-            occ = next(_walk(window.size, pinned), None)
+            occ = _first_word(window.size, pinned)
             if occ is not None:
                 return k, k + size, OccupationConfig(window, occ)
     raise ValueError("the assignment has no open-boundary ground extension")

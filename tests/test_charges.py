@@ -1,11 +1,16 @@
 """Conservation sequences, their charge monomials, and the conservation laws."""
 
 import hashlib
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicolai.charges import (
     ConservationSequence,
+    _alternates,
+    _first_word,
+    _words,
     build_charge,
     charge_monomial,
     enumerate_sequences,
@@ -123,6 +128,87 @@ def test_enumeration_order_digests(n):
 def test_union_order_digest():
     union = enumerate_union(0, 8)
     assert _digest(f"{f.k},{f.l},{f.to_string()}" for f in union) == UNION_0_8_DIGEST
+
+
+def _walk_oracle(size, pinned=None):
+    """Depth-first walk over the admissible words of odd ``size``, lazily, in
+    lexicographic order; the enumerator the bulk and greedy readers replaced.
+
+    Bit ``p`` of each yielded integer is the letter at offset ``p``; ``pinned``
+    maps offsets to required letters.  Choices that cannot be completed are
+    pruned before the walk starts.
+    """
+    care = want = 0
+    for p, b in (pinned or {}).items():
+        care |= 1 << p
+        want |= b << p
+    groups = [(0, 1)] + [(p, p + 1) for p in range(2, size - 1, 2)] + [(size - 1,)]
+    depth = len(groups) - 1
+    levels = [([], [])] * len(groups)
+    for j in range(depth, -1, -1):
+        group = groups[j]
+        mask = sum(1 << p for p in group)
+        levels[j] = ([], [])
+        for a, letters in product((0, 1), product((0, 1), repeat=len(group))):
+            if j == 0:
+                allowed = letters[0] == letters[1]
+            elif j == depth:
+                allowed = letters[0] == a
+            else:
+                allowed = not _alternates(a, *letters)
+            bits = sum(b << p for b, p in zip(letters, group))
+            if (
+                allowed
+                and (bits ^ want) & care & mask == 0
+                and (j == depth or levels[j + 1][letters[-1]])
+            ):
+                levels[j][a].append((bits, letters[-1]))
+    choices, words = [iter(levels[0][0])], [0]
+    while choices:
+        for bits, last in choices[-1]:
+            word = words[-1] | bits
+            if len(choices) > depth:
+                yield word
+            else:
+                choices.append(iter(levels[len(choices)][last]))
+                words.append(word)
+                break
+        else:
+            choices.pop()
+            words.pop()
+
+
+@pytest.mark.parametrize("size", range(3, 26, 2))
+def test_bulk_words_match_depth_first_oracle(size):
+    words = _words(size)
+    assert words.dtype == "int64"
+    assert words.tolist() == list(_walk_oracle(size))
+
+
+@st.composite
+def _pinned_sizes(draw):
+    size = draw(st.integers(1, 20)) * 2 + 1
+    pinned = draw(st.dictionaries(st.integers(0, size - 1), st.integers(0, 1), max_size=size))
+    return size, pinned
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pinned_sizes())
+def test_first_word_matches_depth_first_oracle(case):
+    size, pinned = case
+    assert _first_word(size, pinned) == next(_walk_oracle(size, pinned), None)
+
+
+def test_first_word_without_completion():
+    # offset 1 = 0 forces offset 0 = 0 through the constant left edge pair
+    assert _first_word(5, {0: 1, 1: 0}) is None
+    assert _first_word(7, {1: 0, 2: 1, 3: 0}) is None  # alternating triplet at 2
+
+
+@pytest.mark.parametrize("size", [63, 65, 101])
+def test_bulk_words_refuse_int64_overflow(size):
+    with pytest.raises(ValueError, match="int64"):
+        _words(size)
 
 
 def test_union_sizes():

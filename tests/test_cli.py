@@ -1,8 +1,10 @@
 """Command-line interface: payloads, exit codes, round trips."""
 
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,94 @@ def test_enumerate_size_guard(capsys):
     code, doc = _run_json(capsys, "enumerate", "charges", "--n", "13")
     assert code == 3 and doc["status"] == "failure"
     assert doc["payload"] == {"code": "resource-limit", "reason": "enumeration capped at n <= 12"}
+
+
+# sha256 of whole documents with "elapsed_ms" removed (CSV carries none),
+# computed on the word enumerator these commands used before the bulk one.
+COUNT_DIGESTS = {
+    1: "1d24836f832d3092f831c240744df031c953d126368b3cfe06476df8433b3612",
+    2: "e3b438660d407f82e0237b2da0080c81437fa2cb422a4d9a4b3c999184fc4450",
+    3: "64db48e50aa7e2dc76bca48c4c84aa6ddc6e4dc0ae7040d37c9d16394a723aaa",
+    4: "6502103fd985b2b7f0fc4e2527c2b398e6f07f340a41a18628bbb5e1a64aca50",
+    5: "cbc07652bf45fdaf7e2247824a7c9c276d587b2347d0919daa61df3c65416d46",
+    6: "ac2f8ae41526a4bd3e86ca7b58efd4af06cb0e63b061d3a43ab9cd212f2c415c",
+    7: "c56654a8d38ca67009722aa1ea669e9e2269e1ee87507b52cd8207aa04949779",
+    8: "280e590a14d83ed85bcfa7277367b20e1b89c6b029b43a4c64cc1d330c77ed01",
+    9: "b3a3ec9fabf5558ffb3bcc834b1faf0c820dff44858c959d08e534ad9a9d1db4",
+    10: "a3604de90caf32c624076d6cd493104b03c867e44bbe3fec9abe9da881e493a7",
+    11: "17be287ebce37f060ffe3711d9502c90cb0f38d038df2e7b3b131785f56af92b",
+    12: "a8cf2ed273b940fe017651a8fd206e601f26738de18a28eb69d2207d73312580",
+}
+ENUMERATE_DIGESTS = {
+    ("charges", "json", 1): "55e2995a5412ddb42607df1d2544ad7b0d333a309d18c66e1d03f26ee095abe5",
+    ("charges", "json", 2): "f3ac2fab97c462c04f6e16b319ed201dd94f27859f26cb3b751f1346c8149dd9",
+    ("charges", "json", 3): "548514a904c741bdf153357d123ec10ec67770259514e14d68a8cd2875353dae",
+    ("charges", "json", 4): "55473e9cf53aba25676a85ed87d4b21efa65c939ed8cd1d3e9bf9dbb44aa0702",
+    ("charges", "json", 5): "c5bdeeb7e4ee16870971d98bbb0e569cb5f9c36bfdb17f719707bfc08e24d7e7",
+    ("charges", "json", 6): "2d6cfe76fdf8207ed06014903afa6eab1688a7c2f73f9aca3cb481432ab697b8",
+    ("charges", "json", 7): "54738b54dad4f06e3741a420592fa812ffc0d5f0c4d760811101b3935c9d3221",
+    ("charges", "json", 8): "da5b90828cc3f81c85923f92e13ca20698cc4850813642d81cc7fb9de3d84e56",
+    ("charges", "json", 9): "af918a48788eeafdae985b02d63d9ccdc57a474a47d2f082e0651867a02326ed",
+    ("charges", "json", 10): "332c4c6204649773d3b1224b1595fd9dd6feaff322909779f00cde4f4363d514",
+    ("charges", "csv", 1): "db12dcc39cabbcba550024ae1552836a94ce8d58ac6b8e933bcef240d5e671c8",
+    ("charges", "csv", 2): "e2d0f10efb4ffdb1ee10d1214fe1cd044c14cffdcd171effa50744b88748a4b5",
+    ("charges", "csv", 3): "eb434a80d1616c013f4ae07fffc962ab556c95eb72368b73835f8089d2aaba11",
+    ("charges", "csv", 4): "c90861dd5ea7d6fa42d2b3acd94bdc6f22b607d6809d346981c1a7edccb39b14",
+    ("charges", "csv", 5): "6a31cb9a2f6228a7182da8a9e83a2d841f0370e2c65a20b15d1c6ef15befdcea",
+    ("charges", "csv", 6): "7e38a5876b9f3d292a70f1b577c785a8bc14fe3fb8b96a6f9465b0e0a640face",
+    ("charges", "csv", 7): "ef56ae12de824303ed544da319d9a3b2c457d0d3fe1830976f20b448a37f156e",
+    ("charges", "csv", 8): "99b6f0b71e3bb1ed746847821a7ee1e68d786acf5f7e16314be23c3d24fb3673",
+    ("charges", "csv", 9): "ad71737ec5f45f7269e893d63e2a0146843a0d78633342fe717ebf399d0da637",
+    ("charges", "csv", 10): "3fbd08d85935d2e26f25b468944468036ce737ea809b9fbffdc93b7d96348fad",
+    ("ground-configs", "json", 1): "2341890e6fa78c508f9baf99de488f1123410348f65730400f7b7113592b8ba5",
+    ("ground-configs", "json", 2): "17d2aed046ba1764b6e7f006071b1269e35a98dfbef6c0deae3fabe9d2b79b40",
+    ("ground-configs", "json", 3): "545f83d5a6cbe4d5d399499730e5608be32ed69b5c4e6c56f6fcf186d25459bd",
+    ("ground-configs", "json", 4): "32f8e6a92962e754db8ad977a63c3cbac3e01ec215c3662a838f222a19ea724e",
+    ("ground-configs", "json", 5): "e0f3809683fba4c50cbf8e9fe8e3164c05207da3a250cbe512e53173b963abd3",
+    ("ground-configs", "json", 6): "bd579112065cc466a8e6a86b101e96e90ce0dc7a5be0c5eb37d3317be372fe9f",
+    ("ground-configs", "json", 7): "eabc6d9b8e496d7d5c79ff877e0ce4ff333db81a0a6614184c58a1d9ac62918d",
+    ("ground-configs", "json", 8): "4f6724a3d7f0f12f0daca0659feea29eafcd65018da6d2584c6937b04a434640",
+    ("ground-configs", "json", 9): "750e62ba43601d71cb2ad8a995072e6ec248783e46dd8b8f7d06ee3257006239",
+    ("ground-configs", "json", 10): "9340e4657cd79b0093ac31eea0af2ce659366ee9f8f43909909d6960a1131e2c",
+    ("ground-configs", "csv", 1): "76ba1e2c38a805ff8da0f1f829115b4efcf768ba07380b5dad7a308c011f5284",
+    ("ground-configs", "csv", 2): "7e87387664864bf9e1c791ad2e6b80339010e368c738e0387255703e2e61979e",
+    ("ground-configs", "csv", 3): "b06e78c542ebbfa363ac74cc6e1a830004f9a424c468488499d65d3dc2fe2c58",
+    ("ground-configs", "csv", 4): "8fe07bf38b7300660dc009d11ad73312b99ced82053bd4b5d5cb54338c2dcf08",
+    ("ground-configs", "csv", 5): "33c0be6145d19b99bbf6226827563b19f3efdf7dad4a173e099157d495f17220",
+    ("ground-configs", "csv", 6): "359d05643b576ec857e518308f1b297f1225f4de92e8352051b2025144eefd49",
+    ("ground-configs", "csv", 7): "b7fa5cd5a3be228d934472069b7024c9d239aaed7bd9a229366963cbcf56f86f",
+    ("ground-configs", "csv", 8): "79347d652c1d3fdbb47a87e51c30e35efb356aa212e7c1629a8d11f341d9ce7c",
+    ("ground-configs", "csv", 9): "a9ebea8a6270391d80e9c56007d05411779472743a473eabe01c026f428a0e3c",
+    ("ground-configs", "csv", 10): "21f2ebe0fac2834b0e7c13da36626d1cdce7f7a6d5987534ccb95c7ee8afda29",
+}
+
+
+def _document_digest(capsys, *argv):
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(re.sub(r'"elapsed_ms":[^,}]+,', "", out).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(COUNT_DIGESTS))
+def test_count_documents_pinned(capsys, n):
+    assert _document_digest(capsys, "count", "--n", str(n)) == COUNT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("kind, fmt, n", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_documents_pinned(capsys, kind, fmt, n):
+    digest = _document_digest(capsys, "--format", fmt, "enumerate", kind, "--n", str(n))
+    assert digest == ENUMERATE_DIGESTS[kind, fmt, n]
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "charges", "--n", "0"),
+    ("enumerate", "ground-configs", "--n", "-1"),
+    ("count", "--n", "0", "--method", "enumerate"),
+])
+def test_empty_interval_is_usage_error(capsys, argv):
+    code, doc = _run_json(capsys, *argv)
+    assert code == 2 and doc["status"] == "failure"
+    assert doc["payload"] == {"code": "usage-error", "reason": "k < l required"}
 
 
 def test_count_both_methods(capsys):
@@ -170,6 +260,21 @@ def test_generate_usage_errors(capsys):
     code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "0001x")
     assert code == 2
 
+
+def test_generate_and_replay_size_guard(capsys, tmp_path):
+    code, doc = _run_json(capsys, "--max-dim", "16", "generate", "--n", "2", "--target", "00011")
+    assert code == 3 and doc["payload"]["code"] == "resource-limit"
+    assert "max-dim 16" in doc["payload"]["reason"]
+    code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "00011")
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps(doc["payload"]))
+    code, doc = _run_json(capsys, "--max-dim", "16", "replay", "--word", str(word_file))
+    assert code == 3 and doc["payload"]["code"] == "resource-limit"
+    # a 29-site word is refused under the default --max-dim before any matrix
+    wide = {"start": "fock", "k": 0, "l": 14, "target": "0" * 29, "predicted_sign": 1, "steps": []}
+    word_file.write_text(json.dumps(wide))
+    code, doc = _run_json(capsys, "replay", "--word", str(word_file))
+    assert code == 3 and doc["payload"]["code"] == "resource-limit"
 
 def test_replay_detects_tampering(capsys, tmp_path):
     code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "11100")
