@@ -291,6 +291,8 @@ def main(argv=None) -> int:
         return _emit_failure(args.command, params, failure.reason, failure.code, started)
     except GenerationError as exc:
         return _emit_failure(args.command, params, str(exc), _EXIT_FAILURE, started)
+    except OverflowError as exc:
+        return _emit_failure(args.command, params, str(exc), _EXIT_RESOURCE, started)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _emit_failure(args.command, params, str(exc), _EXIT_USAGE, started)
     return _emit(args, args.command, params, payload, started, csv_rows=rows)

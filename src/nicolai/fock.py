@@ -17,9 +17,11 @@ Conventions, fixed once and used everywhere:
   the right.  ``FermionMonomial.increasing`` accepts the natural left-to-right
   increasing-site notation and records it faithfully.
 * All matrix algebra is exact integer arithmetic.  Matrices are stored as
-  int64 CSR; every product certifies an a-priori magnitude bound and falls
-  back to arbitrary-precision Python integers when the bound cannot be
-  certified, so no operation ever overflows silently.
+  sorted int64 arrays of packed positions and values.  Every operation
+  certifies an a-priori magnitude bound first.  A product whose bound fails
+  is computed with Python integers instead, and sums, multiples and results
+  that do not fit int64 raise ``OverflowError``, so no operation ever
+  overflows silently.
 
 Zero results (annihilated vectors, empty matrices) are ordinary values, never
 errors.
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sps
 
 from .kernels import monomial_action
 
@@ -57,6 +58,10 @@ __all__ = [
 
 # int64 products are exact below this; anything bigger takes the bigint path.
 _INT64_SAFE = 1 << 62
+# The packed key ``col * dim + row`` must fit in int64.
+_MAX_SIZE = 31
+# Entries sorted at once by a sum, and products expanded at once by a product.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -336,71 +341,98 @@ class IntegerSparseOperator:
     """Exact integer matrix of an operator on the Fock space of a window.
 
     Columns follow the basis packing of the window: column ``j`` is the image
-    of basis configuration ``j``.  Arithmetic stays in int64 whenever a sound
-    magnitude bound certifies exactness and switches to Python big integers
-    otherwise, so results are exact in all cases.
+    of basis configuration ``j``.  The nonzero entries are two int64 arrays in
+    canonical form: ``key = col * dim + row``, strictly increasing (so sorted
+    by column, then row), and ``vals``, with no zeros.  Equal operators
+    therefore have equal arrays.  Arithmetic stays in int64 whenever a sound
+    magnitude bound certifies exactness; products switch to Python big
+    integers otherwise, and the other operations raise ``OverflowError``.
     """
 
-    __slots__ = ("window", "mat", "_csc")
+    __slots__ = ("window", "key", "vals")
 
-    def __init__(self, window: SiteWindow, mat):
-        mat = sps.csr_matrix(mat, shape=(window.dimension, window.dimension), dtype=np.int64)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
+    def __init__(self, window: SiteWindow, key, vals):
+        """Operator with entries ``vals`` at packed positions ``key``.
+
+        Keys may come in any order and repeat: repeated keys are summed and
+        zero entries dropped.
+        """
+        if window.size > _MAX_SIZE:
+            raise ValueError(f"window of {window.size} sites is too large for packed keys")
         self.window = window
-        self.mat = mat
-        self._csc = None
+        self.key, self.vals = _canonical(
+            np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
+        )
+
+    @classmethod
+    def _wrap(cls, window: SiteWindow, key: np.ndarray, vals: np.ndarray):
+        """Operator from arrays already in canonical form."""
+        op = cls.__new__(cls)
+        op.window, op.key, op.vals = window, key, vals
+        return op
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, window: SiteWindow) -> "IntegerSparseOperator":
-        return cls(window, sps.csr_matrix((window.dimension, window.dimension), dtype=np.int64))
+        return cls(window, (), ())
 
     @classmethod
     def identity(cls, window: SiteWindow) -> "IntegerSparseOperator":
-        return cls(window, sps.identity(window.dimension, dtype=np.int64, format="csr"))
+        return cls.diagonal(window, np.ones(window.dimension, dtype=np.int64))
 
     @classmethod
     def diagonal(cls, window: SiteWindow, diag) -> "IntegerSparseOperator":
-        return cls(
-            window, sps.diags(np.asarray(diag, dtype=np.int64), format="csr", dtype=np.int64)
-        )
+        diag = np.asarray(diag, dtype=np.int64)
+        return cls(window, np.arange(diag.size, dtype=np.int64) * (window.dimension + 1), diag)
 
     @classmethod
     def from_entries(cls, window: SiteWindow, entries: Mapping[Tuple[int, int], int]):
         rows = np.fromiter((r for r, _ in entries), dtype=np.int64, count=len(entries))
         cols = np.fromiter((c for _, c in entries), dtype=np.int64, count=len(entries))
         vals = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
-        dim = window.dimension
-        return cls(window, sps.coo_matrix((vals, (rows, cols)), shape=(dim, dim)))
+        return cls(window, (cols << window.size) | rows, vals)
 
     # -- inspection ----------------------------------------------------------
 
     @property
+    def rows(self) -> np.ndarray:
+        return self.key & (self.window.dimension - 1)
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.key >> self.window.size
+
+    @property
     def nnz(self) -> int:
-        return self.mat.nnz
+        return self.key.size
 
     def entry_bound(self) -> int:
-        return int(np.abs(self.mat.data).max()) if self.mat.nnz else 0
+        return int(np.abs(self.vals).max()) if self.vals.size else 0
 
     def entries(self) -> dict:
-        coo = self.mat.tocoo()
-        return {(int(r), int(c)): int(v) for r, c, v in zip(coo.row, coo.col, coo.data)}
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist()))
 
     def is_zero(self) -> bool:
-        return self.mat.nnz == 0
+        return self.key.size == 0
 
     def __eq__(self, other):
         if not isinstance(other, IntegerSparseOperator):
             return NotImplemented
-        return self.window == other.window and (self - other).is_zero()
+        return (
+            self.window == other.window
+            and np.array_equal(self.key, other.key)
+            and np.array_equal(self.vals, other.vals)
+        )
 
     def __hash__(self):
         raise TypeError("IntegerSparseOperator is not hashable")
 
     def to_dense(self, dtype=float) -> np.ndarray:
-        return self.mat.toarray().astype(dtype)
+        dim = self.window.dimension
+        out = np.zeros((dim, dim), dtype=dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
 
     # -- exact arithmetic ----------------------------------------------------
 
@@ -412,7 +444,8 @@ class IntegerSparseOperator:
         self._check_window(other)
         if self.entry_bound() + other.entry_bound() >= _INT64_SAFE:
             raise OverflowError("operator sum exceeds the certified int64 range")
-        return IntegerSparseOperator(self.window, self.mat + other.mat)
+        key, vals = _assemble(_sum_pieces(self, other))
+        return IntegerSparseOperator._wrap(self.window, key, vals)
 
     def __sub__(self, other: "IntegerSparseOperator") -> "IntegerSparseOperator":
         return self + other.scaled(-1)
@@ -423,24 +456,27 @@ class IntegerSparseOperator:
     def scaled(self, c: int) -> "IntegerSparseOperator":
         if abs(c) * max(self.entry_bound(), 1) >= _INT64_SAFE:
             raise OverflowError("scalar multiple exceeds the certified int64 range")
-        return IntegerSparseOperator(self.window, self.mat * np.int64(c))
+        if c == 0:
+            return IntegerSparseOperator.zero(self.window)
+        return IntegerSparseOperator._wrap(self.window, self.key, self.vals * np.int64(c))
 
     def transpose(self) -> "IntegerSparseOperator":
-        return IntegerSparseOperator(self.window, self.mat.transpose())
+        key = (self.rows << self.window.size) | self.cols
+        return IntegerSparseOperator(self.window, key, self.vals)
 
     # Entries are integers, so the adjoint is the transpose.
     adjoint = transpose
 
     def __matmul__(self, other: "IntegerSparseOperator") -> "IntegerSparseOperator":
         self._check_window(other)
-        a, b = self.mat, other.mat
-        if a.nnz == 0 or b.nnz == 0:
+        if self.is_zero() or other.is_zero():
             return IntegerSparseOperator.zero(self.window)
-        row_nnz = int(np.diff(a.indptr).max())
-        col_nnz = int(np.bincount(b.indices, minlength=b.shape[1]).max())
+        row_nnz = int(np.bincount(self.rows).max())
+        col_nnz = int(np.bincount(other.cols).max())
         terms = min(row_nnz, col_nnz)
         if terms * self.entry_bound() * other.entry_bound() < _INT64_SAFE:
-            return IntegerSparseOperator(self.window, a @ b)
+            key, vals = _assemble(_product_pieces(self, other))
+            return IntegerSparseOperator._wrap(self.window, key, vals)
         return IntegerSparseOperator.from_entries(
             self.window, _matmul_bigint(self.entries(), other.entries())
         )
@@ -449,15 +485,91 @@ class IntegerSparseOperator:
         """Exact matrix-vector product (big-integer arithmetic)."""
         if v.window != self.window:
             raise ValueError("window mismatch")
-        if self._csc is None:
-            self._csc = self.mat.tocsc()
-        csc = self._csc
+        size = self.window.size
+        cols = np.fromiter(v.amplitudes, dtype=np.int64, count=len(v.amplitudes))
+        lo = np.searchsorted(self.key, cols << size).tolist()
+        hi = np.searchsorted(self.key, (cols + 1) << size).tolist()
+        mask = self.window.dimension - 1
         out: dict = {}
-        for j, amp in v.amplitudes.items():
-            for k in range(csc.indptr[j], csc.indptr[j + 1]):
-                i = int(csc.indices[k])
-                out[i] = out.get(i, 0) + int(csc.data[k]) * amp
+        for amp, a, b in zip(v.amplitudes.values(), lo, hi):
+            for i, x in zip((self.key[a:b] & mask).tolist(), self.vals[a:b].tolist()):
+                out[i] = out.get(i, 0) + x * amp
         return FockVector(self.window, out)
+
+
+def _canonical(key: np.ndarray, vals: np.ndarray):
+    """Sort packed keys, sum the values of repeated keys and drop zeros."""
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        key, vals = key[starts], np.add.reduceat(vals, starts)
+    keep = vals != 0
+    if keep.all():
+        return key, vals
+    return key[keep], vals[keep]
+
+
+def _assemble(pieces):
+    """Canonical ``(key, vals)`` of pieces whose key ranges are disjoint and
+    ascending; each piece is made canonical before the next one is drawn."""
+    keys, vals = [], []
+    for key, val in pieces:
+        key, val = _canonical(key, val)
+        keys.append(key)
+        vals.append(val)
+    if len(keys) == 1:
+        return keys[0], vals[0]
+    return np.concatenate(keys), np.concatenate(vals)
+
+
+def _sum_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
+    """The entries of ``a`` and ``b`` in key ranges of about ``_CHUNK`` entries of ``a``."""
+    a_cuts = list(range(_CHUNK, a.nnz, _CHUNK))
+    b_cuts = np.searchsorted(b.key, a.key[a_cuts]).tolist()
+    a_edges, b_edges = [0, *a_cuts, a.nnz], [0, *b_cuts, b.nnz]
+    for a0, a1, b0, b1 in zip(a_edges, a_edges[1:], b_edges, b_edges[1:]):
+        yield (
+            np.concatenate((a.key[a0:a1], b.key[b0:b1])),
+            np.concatenate((a.vals[a0:a1], b.vals[b0:b1])),
+        )
+
+
+def _product_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
+    """The terms of ``a @ b`` as packed keys and int64 values.
+
+    Every entry ``(k, j)`` of ``b`` pairs with the whole column ``k`` of ``a``,
+    a contiguous run of ``a.key``.  ``b``'s columns are expanded in chunks of
+    about ``_CHUNK`` products, so memory stays bounded; a chunk holds whole
+    columns of the result, so the chunks' key ranges are disjoint and
+    ascending.
+    """
+    size = a.window.size
+    b_rows, b_cols = b.rows, b.cols
+    a_col_nnz = np.bincount(a.cols, minlength=a.window.dimension)
+    counts = a_col_nnz[b_rows]
+    lo = np.cumsum(a_col_nnz)[b_rows] - counts  # where column b_rows of a starts
+    ahead = np.cumsum(counts) - counts  # products ahead of each entry of b
+    total = int(ahead[-1] + counts[-1])
+    edges = [0, b_cols.size]
+    if total > _CHUNK:
+        col_starts = np.flatnonzero(np.diff(b_cols, prepend=-1))
+        marks = np.arange(_CHUNK, total, _CHUNK)
+        cuts = col_starts[np.searchsorted(ahead[col_starts], marks, side="right") - 1]
+        edges = [0, *np.unique(cuts[cuts > 0]).tolist(), b_cols.size]
+    a_rows = a.rows
+    for s, e in zip(edges, edges[1:]):
+        n = counts[s:e]
+        # index into a of each product: the start of its column plus its offset
+        first = int(ahead[s])
+        idx = np.arange(first, first + int(n.sum())) + np.repeat(lo[s:e] - ahead[s:e], n)
+        yield (
+            np.repeat(b_cols[s:e] << size, n) | a_rows[idx],
+            a.vals[idx] * np.repeat(b.vals[s:e], n),
+        )
 
 
 def _matmul_bigint(a_entries: dict, b_entries: dict) -> dict:
@@ -476,8 +588,8 @@ def _matmul_bigint(a_entries: dict, b_entries: dict) -> dict:
 def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
     """Exact matrix of a monomial or operator sum on a window.
 
-    Column ``j`` holds the image of basis configuration ``j``; assembly runs
-    through the kernel backend (see :mod:`nicolai.kernels`).
+    Column ``j`` holds the image of basis configuration ``j``; each term's
+    column images come from :func:`nicolai.kernels.monomial_action`.
     """
     if isinstance(op, FermionMonomial):
         terms = (op,)
@@ -485,8 +597,7 @@ def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
         terms = op.terms
     else:
         terms = tuple(op)
-    dim = window.dimension
-    cols_list, rows_list, vals_list = [], [], []
+    keys, vals = [], []
     coeff_total = sum(abs(t.coefficient) for t in terms)
     if coeff_total >= _INT64_SAFE:
         raise OverflowError("operator coefficients exceed the certified int64 range")
@@ -495,18 +606,12 @@ def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
             continue
         application_order = [(window.bit(s), d) for s, d in reversed(term.factors)]
         targets, signs = monomial_action(window.size, application_order)
-        alive = targets >= 0
-        cols_list.append(np.nonzero(alive)[0].astype(np.int64))
-        rows_list.append(targets[alive])
-        vals_list.append(signs[alive] * np.int64(term.coefficient))
-    if not cols_list:
+        cols = np.flatnonzero(targets >= 0)
+        keys.append((cols << window.size) | targets[cols])
+        vals.append(signs[cols] * np.int64(term.coefficient))
+    if not keys:
         return IntegerSparseOperator.zero(window)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-    return IntegerSparseOperator(
-        window, sps.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    )
+    return IntegerSparseOperator(window, np.concatenate(keys), np.concatenate(vals))
 
 
 def commutator(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:

@@ -18,10 +18,12 @@ __all__ = ["integer_rank", "rows_from_csr", "stacked_nullity"]
 
 
 def rows_from_csr(mat, cols: Optional[np.ndarray] = None) -> List[Dict[int, int]]:
-    """Extract nonzero rows of a scipy sparse matrix as ``{col: int}`` dicts.
+    """Extract nonzero rows of a sparse matrix as ``{col: int}`` dicts.
 
-    When ``cols`` is given, columns are restricted to that subset and
-    re-indexed by position in ``cols``.
+    ``mat`` is any matrix with a ``.tocsr()`` method, such as a scipy sparse
+    matrix.  No command uses this; it serves the tests' oracles.  When
+    ``cols`` is given, columns are restricted to that subset and re-indexed
+    by position in ``cols``.
     """
     csr = mat.tocsr()
     remap = None
@@ -88,9 +90,11 @@ def integer_rank(rows: Iterable[Dict[int, int]]) -> int:
 def stacked_nullity(mats, cols: Optional[np.ndarray] = None) -> int:
     """Dimension of the joint kernel of the stacked matrices.
 
-    ``mats`` is an iterable of scipy sparse matrices sharing a column space;
-    ``cols`` optionally restricts that space to a subset of columns.  Returns
-    ``n_cols - rank`` of the vertically stacked system, computed exactly.
+    ``mats`` is an iterable of matrices with ``.tocsr()`` and ``.shape``
+    (such as scipy sparse matrices) sharing a column space; ``cols``
+    optionally restricts that space to a subset of columns.  Returns
+    ``n_cols - rank`` of the vertically stacked system, computed exactly.  No
+    command uses this; it serves the tests' oracles.
     """
     rows: List[Dict[int, int]] = []
     n_cols = None

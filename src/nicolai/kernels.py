@@ -22,6 +22,14 @@ def monomial_action(size, factors):
     int64 arrays of length ``2**size``: ``targets[b]`` is the image basis index
     of state ``b`` (or ``-1`` if the state is annihilated) and ``signs[b]`` the
     accumulated Jordan-Wigner sign (``0`` for annihilated states).
+
+    The factor list is first reduced, in Python integers, to a closed form:
+    a state survives iff its bits on the touched sites ``support`` equal
+    ``required``; it then maps to ``state ^ flip`` with sign
+    ``const * (-1)**popcount(state & parity)``.  A factor's Jordan-Wigner
+    sign counts the occupied bits below it: those already touched have known
+    values (``current``, folded into ``const``), the others are the state's
+    own bits (folded into ``parity``).
     """
     if size < 0 or size > 62:
         raise ValueError(f"window size {size} out of range")
@@ -29,16 +37,26 @@ def monomial_action(size, factors):
     if any(not 0 <= p < size for p, _ in factors):
         raise ValueError("factor bit position outside the window")
     dim = 1 << size
-    cur = np.arange(dim, dtype=np.int64)
-    sign = np.ones(dim, dtype=np.int64)
-    alive = np.ones(dim, dtype=bool)
+    support = required = current = parity = 0
+    const = 1
     for p, d in factors:
-        bit = (cur >> p) & 1
-        alive &= (bit == 0) if d else (bit == 1)
-        below = (cur & ((1 << p) - 1)).astype(np.uint64)
-        odd = (np.bitwise_count(below).astype(np.int64) & 1).astype(bool)
-        sign = np.where(odd, -sign, sign)
-        cur = np.where(alive, cur ^ (1 << p), cur)
-    targets = np.where(alive, cur, -1)
-    signs = np.where(alive, sign, 0)
+        bit = 1 << p
+        need = 0 if d else bit  # the bit's value before the factor acts
+        if not (support & bit):
+            support |= bit
+            required |= need
+            current |= need
+        elif (current & bit) != need:
+            return np.full(dim, -1, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+        below = bit - 1
+        if (current & below).bit_count() & 1:
+            const = -const
+        parity ^= below & ~support
+        current ^= bit
+    flip = required ^ current
+    states = np.arange(dim, dtype=np.int64)
+    live = (states & support) == required
+    odd = (np.bitwise_count(states & parity) & 1).astype(np.int64)
+    targets = np.where(live, states ^ flip, -1)
+    signs = np.where(live, const * (1 - 2 * odd), 0)
     return targets, signs

@@ -215,8 +215,36 @@ class SpectrumReport:
         return list(enumerate(self.eigenvalues))
 
 
+def _block_labels(h: IntegerSparseOperator) -> np.ndarray:
+    """Label each basis state with the lowest state of its connected block.
+
+    The blocks are the connected components of the nonzero pattern of ``h``,
+    read as an undirected graph.  Each round hooks every edge's two root
+    labels onto the smaller one, then jumps pointers until each label is a
+    root.  Labels only decrease and stay inside their block, so the fixed
+    point, where every edge joins equal labels, gives each block its lowest
+    state.
+    """
+    labels = np.arange(h.window.dimension, dtype=np.int64)
+    rows, cols = h.rows, h.cols
+    while True:
+        lr, lc = labels[rows], labels[cols]
+        low = np.minimum(lr, lc)
+        hooked = labels.copy()
+        np.minimum.at(hooked, lr, low)
+        np.minimum.at(hooked, lc, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
 def _distinct_blocks(
-    h, sectors: Sequence[int]
+    h: IntegerSparseOperator, sectors: Sequence[int]
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """The connected blocks of ``H`` inside ``sectors``, grouped by size.
 
@@ -225,20 +253,16 @@ def _distinct_blocks(
     ascending order, and how many blocks equal each one.  ``H`` conserves
     particle number, so every block lies inside one sector.
     """
-    # Importing csgraph costs ~0.1 s, which no other command should pay.
-    from scipy.sparse.csgraph import connected_components
-
-    n_blocks, labels = connected_components(h, directed=False)
-    dim = labels.size
+    lowest, labels = np.unique(_block_labels(h), return_inverse=True)
+    n_blocks, dim = lowest.size, labels.size
     sizes = np.bincount(labels, minlength=n_blocks)
     order = np.argsort(labels, kind="stable")  # states by block, ascending within
     starts = np.cumsum(sizes) - sizes
     pos = np.empty(dim, dtype=np.int64)
     pos[order] = np.arange(dim) - starts[labels[order]]
-    lowest = order[starts].astype(np.uint64)
     wanted = np.isin(np.bitwise_count(lowest), sectors)
-    coo = h.tocoo()
-    entry_block = labels[coo.row]
+    rows, cols = h.rows, h.cols
+    entry_block = labels[rows]
     entry_size = np.where(wanted[entry_block], sizes[entry_block], 0)
     for size in np.unique(sizes[wanted]).tolist():
         members = np.flatnonzero(wanted & (sizes == size))
@@ -246,7 +270,7 @@ def _distinct_blocks(
         slot[members] = np.arange(members.size)
         keep = np.flatnonzero(entry_size == size)
         stack = np.zeros((members.size, size, size), dtype=np.int64)
-        stack[slot[entry_block[keep]], pos[coo.row[keep]], pos[coo.col[keep]]] = coo.data[keep]
+        stack[slot[entry_block[keep]], pos[rows[keep]], pos[cols[keep]]] = h.vals[keep]
         distinct, counts = np.unique(stack, axis=0, return_counts=True)
         yield size, distinct, counts
 
@@ -271,7 +295,7 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
         sectors = [sector]
     eigs = []
     kdim = 0
-    for block_size, distinct, counts in _distinct_blocks(m.H.mat, list(sectors)):
+    for block_size, distinct, counts in _distinct_blocks(m.H, list(sectors)):
         values = np.linalg.eigvalsh(distinct.astype(float))
         eigs.append(np.repeat(values, counts, axis=0).ravel())
         for block, count in zip(distinct.tolist(), counts.tolist()):

@@ -30,6 +30,7 @@ from nicolai.verify import (
     cross_oracle_suite,
     fixtures_suite,
 )
+from sparse_oracle import csr
 
 
 def _report(number, label, passed, started, detail=""):
@@ -152,7 +153,7 @@ def test_criterion_7_spectral_properties():
         rep = spectrum(m, "all")
         evals = np.array(rep.eigenvalues)
         ok &= bool(evals.min() >= -1e-9)
-        rank_q = integer_rank(rows_from_csr(m.Q.mat))
+        rank_q = integer_rank(rows_from_csr(csr(m.Q)))
         zeros = m.window.dimension - rank_q
         a = np.sort(np.linalg.eigvalsh((m.Q @ m.Qdag).to_dense()))[zeros:]
         b = np.sort(np.linalg.eigvalsh((m.Qdag @ m.Q).to_dense()))[zeros:]

@@ -322,3 +322,35 @@ def test_output_dir_env(capsys, tmp_path, monkeypatch):
     assert code == 0 and out == ""
     doc = json.loads((tmp_path / "count.json").read_text())
     assert doc["payload"]["count"] == 6
+
+
+def test_overflow_is_resource_limit(capsys, monkeypatch):
+    def overflowing(*args, **kwargs):
+        raise OverflowError("operator sum exceeds the certified int64 range")
+
+    monkeypatch.setattr("nicolai.cli.run_suite", overflowing)
+    code, out = _run(capsys, "verify", "charges", "--n", "1")
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "failure"
+    assert doc["payload"] == {
+        "code": "resource-limit",
+        "reason": "operator sum exceeds the certified int64 range",
+    }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_commands_import_no_scipy():
+    src = str(Path(nicolai.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from nicolai.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['spectrum', '--n', '3', '--edge', 'open']) == 0\n"
+        "    assert main(['verify', 'charges', '--n', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

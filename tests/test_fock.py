@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from nicolai import fock
 from nicolai.fock import (
     FermionMonomial,
     FockVector,
@@ -23,6 +25,7 @@ from nicolai.fock import (
     parity_operator,
     particle_hole_unitary,
 )
+from sparse_oracle import csr
 
 
 def _cfg(window, text):
@@ -357,3 +360,77 @@ def test_zero_vector_is_explicit():
     v = FockVector(w, {0: 1})
     out = apply_monomial(FermionMonomial(1, ((0, False),)), v)
     assert out.is_zero() and out == FockVector.zero(w)
+
+
+# -- scipy as an oracle for the packed-array operators -------------------------
+
+def _rand_sum(rng, window, terms=4):
+    return OperatorSum(tuple(_rand_monomial(rng, window) for _ in range(rng.randint(0, terms))))
+
+
+def _same(op, mat):
+    return np.array_equal(csr(op).toarray(), mat.toarray())
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_operator_arithmetic_matches_scipy(monkeypatch, chunk):
+    # chunk=3 splits every sum and product into many pieces
+    if chunk is not None:
+        monkeypatch.setattr(fock, "_CHUNK", chunk)
+    rng = random.Random(37)
+    for _ in range(60):
+        size = rng.randint(1, 6)
+        lo = rng.randint(-3, 3)
+        w = SiteWindow(lo, lo + size - 1)
+        a = build_matrix(_rand_sum(rng, w), w)
+        b = build_matrix(_rand_sum(rng, w), w)
+        sa, sb = csr(a), csr(b)
+        c = rng.choice((-3, -1, 0, 2, 5))
+        assert _same(a @ b, sa @ sb)
+        assert _same(a + b, sa + sb)
+        assert _same(a - b, sa - sb)
+        assert _same(a.scaled(c), sa * c)
+        assert _same(a.transpose(), sa.transpose())
+        assert (a == b) == ((sa != sb).nnz == 0)
+        assert a == (a + b) - b
+        amps = {i: rng.randint(-5, 5) for i in rng.sample(range(w.dimension), min(3, w.dimension))}
+        vec = np.zeros(w.dimension, dtype=np.int64)
+        vec[list(amps)] = list(amps.values())
+        applied = a.apply(FockVector(w, amps))
+        expected = sa @ vec
+        assert applied.amplitudes == {int(i): int(expected[i]) for i in np.flatnonzero(expected)}
+        # canonical storage: strictly increasing keys, no zeros
+        for op in (a, b, a @ b, a + b):
+            assert np.all(op.key[1:] > op.key[:-1]) and np.all(op.vals != 0)
+
+
+def test_bigint_product_matches_scipy(monkeypatch):
+    # signed permutation matrices with entries up to 2^31: the bound 2^62 is
+    # not certified, yet every true entry fits int64, so scipy is exact
+    calls = []
+
+    def counted(a_entries, b_entries):
+        calls.append(1)
+        return _matmul_bigint(a_entries, b_entries)
+
+    monkeypatch.setattr(fock, "_matmul_bigint", counted)
+    rng = random.Random(41)
+    w = SiteWindow(0, 3)
+    for _ in range(10):
+        ops = []
+        for _ in range(2):
+            perm = rng.sample(range(w.dimension), w.dimension)
+            entries = {(r, c): rng.choice((1, -1)) * rng.randint(1 << 30, 1 << 31)
+                       for c, r in enumerate(perm) if rng.random() < 0.7}
+            entries[(perm[0], 0)] = 1 << 31
+            ops.append(IntegerSparseOperator.from_entries(w, entries))
+        a, b = ops
+        assert _same(a @ b, csr(a) @ csr(b))
+    assert len(calls) == 10
+
+
+def test_packed_keys_refuse_oversized_windows():
+    # col * dim + row must fit int64: at most 31 sites
+    assert IntegerSparseOperator.zero(SiteWindow(0, 30)).is_zero()
+    with pytest.raises(ValueError):
+        IntegerSparseOperator.zero(SiteWindow(0, 31))

@@ -8,6 +8,7 @@ import scipy.sparse as sps
 
 from nicolai.intrank import integer_rank, rows_from_csr, stacked_nullity
 from nicolai.model import build_supercharge
+from sparse_oracle import csr
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -67,7 +68,7 @@ def test_stacked_nullity_matches_hodge_identity():
     for n, mode in ((1, "open"), (2, "open"), (2, "closed"), (3, "closed")):
         m = build_supercharge((0, n), mode)
         dim = m.window.dimension
-        rank_q = integer_rank(rows_from_csr(m.Q.mat))
-        rank_qdag = integer_rank(rows_from_csr(m.Qdag.mat))
+        rank_q = integer_rank(rows_from_csr(csr(m.Q)))
+        rank_qdag = integer_rank(rows_from_csr(csr(m.Qdag)))
         assert rank_q == rank_qdag
-        assert stacked_nullity([m.Q.mat, m.Qdag.mat]) == dim - 2 * rank_q
+        assert stacked_nullity([csr(m.Q), csr(m.Qdag)]) == dim - 2 * rank_q

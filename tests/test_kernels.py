@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicolai import kernels
 from nicolai.fock import (
@@ -14,6 +15,50 @@ from nicolai.fock import (
     apply_monomial,
     build_matrix,
 )
+
+
+def _monomial_action_oracle(size, factors):
+    """The earlier per-factor sweep of ``monomial_action``, kept as an oracle."""
+    if size < 0 or size > 62:
+        raise ValueError(f"window size {size} out of range")
+    factors = [(int(p), bool(d)) for p, d in factors]
+    if any(not 0 <= p < size for p, _ in factors):
+        raise ValueError("factor bit position outside the window")
+    dim = 1 << size
+    cur = np.arange(dim, dtype=np.int64)
+    sign = np.ones(dim, dtype=np.int64)
+    alive = np.ones(dim, dtype=bool)
+    for p, d in factors:
+        bit = (cur >> p) & 1
+        alive &= (bit == 0) if d else (bit == 1)
+        below = (cur & ((1 << p) - 1)).astype(np.uint64)
+        odd = (np.bitwise_count(below).astype(np.int64) & 1).astype(bool)
+        sign = np.where(odd, -sign, sign)
+        cur = np.where(alive, cur ^ (1 << p), cur)
+    targets = np.where(alive, cur, -1)
+    signs = np.where(alive, sign, 0)
+    return targets, signs
+
+
+@st.composite
+def _factor_lists(draw):
+    # repeated sites give zero monomials (c_s c_s) and number-like pairs
+    size = draw(st.integers(1, 5))
+    factors = draw(
+        st.lists(st.tuples(st.integers(0, size - 1), st.booleans()), max_size=6)
+    )
+    return size, factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(_factor_lists())
+def test_closed_form_matches_per_factor_sweep(case):
+    size, factors = case
+    targets, signs = kernels.monomial_action(size, factors)
+    expected_targets, expected_signs = _monomial_action_oracle(size, factors)
+    assert targets.dtype == signs.dtype == np.int64
+    assert np.array_equal(targets, expected_targets)
+    assert np.array_equal(signs, expected_signs)
 
 
 def test_identity_monomial_action():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nicolai.fock import (
+    IntegerSparseOperator,
     SiteWindow,
     anticommutator,
     build_matrix,
@@ -20,7 +21,8 @@ from nicolai.model import (
     supercharge_term,
     symmetry_report,
 )
-from nicolai.model import _hamiltonian_density, _diagonal_density
+from nicolai.model import _block_labels, _diagonal_density, _hamiltonian_density
+from sparse_oracle import csr
 
 
 def test_interval_windows():
@@ -170,7 +172,7 @@ def test_spectrum_positive_and_paired():
         # nonzero spectra of QQ* and Q*Q agree as multisets
         qqd = (m.Q @ m.Qdag).to_dense()
         qdq = (m.Qdag @ m.Q).to_dense()
-        rank_q = integer_rank(rows_from_csr(m.Q.mat))
+        rank_q = integer_rank(rows_from_csr(csr(m.Q)))
         a = np.sort(np.linalg.eigvalsh(qqd))[m.window.dimension - rank_q :]
         b = np.sort(np.linalg.eigvalsh(qdq))[m.window.dimension - rank_q :]
         assert np.allclose(a, b, atol=1e-9)
@@ -213,8 +215,8 @@ def _dense_sector_oracle(m, sector):
     whole particle-number sector and the exact nullity of ``[Q; Q*]`` on it."""
     states = np.arange(m.window.dimension, dtype=np.uint64)
     cols = np.flatnonzero(np.bitwise_count(states) == sector)
-    block = m.H.mat[cols][:, cols].toarray().astype(float)
-    return np.linalg.eigvalsh(block), stacked_nullity([m.Q.mat, m.Qdag.mat], cols)
+    block = csr(m.H)[cols][:, cols].toarray().astype(float)
+    return np.linalg.eigvalsh(block), stacked_nullity([csr(m.Q), csr(m.Qdag)], cols)
 
 
 @pytest.mark.parametrize(
@@ -265,3 +267,33 @@ def test_kernel_dimension_closed_forms_observed():
 )
 def test_kernel_dimension_table(mode, n, kernel):
     assert spectrum(build_supercharge((0, n), mode), "all").kernel_dimension == kernel
+
+
+def _assert_blocks_match_csgraph(op):
+    from scipy.sparse.csgraph import connected_components
+
+    dim = op.window.dimension
+    count, components = connected_components(csr(op), directed=False)
+    # both partitions, each block named by its lowest state
+    lowest = np.full(count, dim)
+    np.minimum.at(lowest, components, np.arange(dim))
+    assert np.array_equal(_block_labels(op), lowest[components])
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("open", n) for n in range(1, 7)] + [("closed", n) for n in range(2, 8)]
+)
+def test_block_labels_match_csgraph(mode, n):
+    _assert_blocks_match_csgraph(build_supercharge((0, n), mode).H)
+
+
+def test_block_labels_of_shuffled_paths_match_csgraph():
+    # long paths through randomly ordered states need several hooking rounds
+    rng = np.random.default_rng(5)
+    window = SiteWindow(0, 7)
+    for _ in range(20):
+        order = rng.permutation(window.dimension)
+        cuts = np.flatnonzero(rng.random(window.dimension - 1) < 0.02)
+        links = np.setdiff1d(np.arange(window.dimension - 1), cuts)
+        entries = {(int(order[i]), int(order[i + 1])): 1 for i in links}
+        _assert_blocks_match_csgraph(IntegerSparseOperator.from_entries(window, entries))
