@@ -6,6 +6,8 @@ Every command prints a single result document to stdout:
 
 (or CSV for tabular payloads with ``--format csv``).  Exit codes: 0 ok,
 1 verification/replay failure, 2 usage error, 3 resource limit exceeded.
+A command line the parser rejects gives a usage-error document too, with the
+raw ``argv`` as its params and ``command`` null; only ``--help`` prints text.
 Payloads are deterministic for identical inputs; only ``elapsed_ms`` varies.
 """
 
@@ -16,6 +18,7 @@ import json
 import os
 import sys
 import time
+from typing import Optional
 
 from .charges import _spell, _words
 from .fock import FockVector, OccupationConfig
@@ -51,6 +54,17 @@ class _CommandFailure(Exception):
         self.reason = reason
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports bad input as a usage-error document.
+
+    ``--help`` still prints the usage text and exits 0.  Subparsers inherit
+    this class, so a bad subcommand argument is caught the same way.
+    """
+
+    def error(self, message):
+        raise _CommandFailure(_EXIT_USAGE, f"{self.prog}: {message}")
+
+
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
     elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     if args.format == "csv" and csv_rows is not None:
@@ -77,7 +91,9 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
     return _EXIT_OK
 
 
-def _emit_failure(command: str, params: dict, reason: str, code: int, started: float) -> int:
+def _emit_failure(
+    command: Optional[str], params: dict, reason: str, code: int, started: float
+) -> int:
     doc = {
         "command": command,
         "params": params,
@@ -230,7 +246,7 @@ def _cmd_replay(args) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nicolai",
         description="Exact finite-interval computations for the Nicolai fermion chain.",
     )
@@ -278,8 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
+    try:
+        args = parser.parse_args(argv)
+    except _CommandFailure as failure:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        return _emit_failure(None, {"argv": argv}, failure.reason, failure.code, started)
     params = {
         k: v
         for k, v in vars(args).items()

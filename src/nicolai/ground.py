@@ -11,7 +11,9 @@ transfer-matrix power).
 Every such configuration is reachable from the all-empty and the all-full
 reference vectors by finitely many charge monomials; ``generate_word`` finds a
 shortest action word by breadth-first search over configurations and returns
-a replayable certificate with its exact sign.
+a replayable certificate with its exact sign.  The search tests each charge
+footprint once per frontier, not each charge once per configuration; ties go
+to the smallest parent, then to the plain action before the adjoint.
 """
 
 from __future__ import annotations
@@ -252,68 +254,67 @@ def _start_config(start: str, window: SiteWindow) -> OccupationConfig:
     raise ValueError(f"start must be 'fock' or 'occupied', got {start!r}")
 
 
-@lru_cache(maxsize=None)
-def _moves(k: int, l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Ordered move set: every sequence in the union space, both adjoint flags.
-
-    Acting on a product state, a charge requires a fixed bit pattern on its
-    support and then flips the whole support, so applicability is two integer
-    operations per move.  Moves follow ``enumerate_union(k, l)``, the plain
-    action of each sequence before its adjoint, and are built from the packed
-    words of ``_words`` (bit set where the sequence is ``+1``) without making
-    a sequence object per move.
-    """
-    supports: List[np.ndarray] = []
-    required: List[np.ndarray] = []
-    for lo in range(k, l):
-        for hi in range(lo + 1, l + 1):
-            size = 2 * (hi - lo) + 1
-            shift = 2 * (lo - k)
-            plus = _words(size) << shift
-            support = np.full(plus.size, ((1 << size) - 1) << shift, dtype=np.int64)
-            supports.append(np.repeat(support, 2))
-            # plain action annihilates where f = -1 (occupied bits required);
-            # the adjoint annihilates where f = +1.
-            required.append(np.stack((support ^ plus, plus), axis=1).ravel())
-    return np.concatenate(supports), np.concatenate(required)
-
-
-def _move_step(k: int, l: int, move: int) -> Tuple[ConservationSequence, bool]:
-    """The ``(sequence, adjoint)`` pair of one move of ``_moves(k, l)``."""
-    supports, required = _moves(k, l)
-    support = int(supports[move])
-    adjoint = bool(move & 1)
-    plus = int(required[move]) ^ (0 if adjoint else support)
-    shift = (support & -support).bit_length() - 1
-    size = support.bit_count()
-    lo = k + shift // 2
-    values = tuple(((plus >> (shift + p)) & 1) * 2 - 1 for p in range(size))
-    return ConservationSequence(lo, lo + size // 2, values, check=False), adjoint
+def _member(ascending: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which ``values`` occur in the non-empty ascending array ``ascending``."""
+    return ascending[np.searchsorted(ascending, values).clip(max=ascending.size - 1)] == values
 
 
 @lru_cache(maxsize=None)
-def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[Tuple[int, int]]]:
+def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     """Breadth-first search from a start config, run until nothing new appears.
 
-    Returns the search tree: each reached configuration maps to its
-    ``(predecessor, move index)``, the start to ``None``.  Ties break
-    lexicographically (frontier ascending, then move order), which makes the
-    certificates deterministic.
+    The search runs one whole frontier at a time over the charge footprints
+    ``[2lo..2hi]`` of the interval.  A charge acts on a product state when the
+    state's bits on its footprint are the complement of its ``+1`` letters
+    (for the adjoint: the letters themselves), and then flips the footprint.
+    Admissible words are closed under complement, so a node has a move on a
+    footprint exactly when its bits there are admissible, and the plain and
+    adjoint moves both lead to ``node ^ footprint``: one ``searchsorted`` per
+    footprint tests the whole frontier.
+
+    Returns the search tree: each reached configuration maps to its parent,
+    the start to ``None``.  Ties break as a scan of the frontier in ascending
+    order and of moves in ``enumerate_union`` order would: the parent is the
+    smallest frontier node reaching the configuration, and ``_step`` takes the
+    plain move when that node's lowest footprint bit is occupied.
     """
-    supports, required = _moves(k, l)
+    footprints = []
+    for m in range(1, l - k + 1):
+        words, mask = np.sort(_words(2 * m + 1)), (1 << (2 * m + 1)) - 1
+        footprints += [(2 * (lo - k), mask, words) for lo in range(k, l - m + 1)]
     start_occ = _start_config(start, Interval(k, l).inner).occ
-    tree = {start_occ: None}
-    frontier = [start_occ]
-    while frontier:
-        fresh = []
-        for node in frontier:
-            moves = np.flatnonzero((node & supports) == required)
-            for dst, move in zip((node ^ supports[moves]).tolist(), moves.tolist()):
-                if dst not in tree:
-                    tree[dst] = (node, move)
-                    fresh.append(dst)
-        frontier = sorted(fresh)
+    tree: Dict[int, Optional[int]] = {start_occ: None}
+    reached = frontier = np.array([start_occ], dtype=np.int64)
+    while frontier.size:
+        dsts = []
+        for shift, mask, words in footprints:
+            dst = frontier[_member(words, (frontier >> shift) & mask)] ^ (mask << shift)
+            dsts.append(dst[~_member(reached, dst)])
+        fresh = np.unique(np.concatenate(dsts))
+        # a move is undone on its own footprint, so the parents of a fresh
+        # node are the frontier nodes it reaches back
+        parent = np.full(fresh.size, np.iinfo(np.int64).max)
+        for shift, mask, words in footprints:
+            node = fresh ^ (mask << shift)
+            back = _member(words, (fresh >> shift) & mask) & _member(frontier, node)
+            np.minimum(parent, node, out=parent, where=back)
+        tree.update(zip(fresh.tolist(), parent.tolist()))
+        reached = np.union1d(reached, fresh)
+        frontier = fresh
     return tree
+
+
+def _step(k: int, node: int, dst: int) -> Tuple[ConservationSequence, bool]:
+    """The ``(sequence, adjoint)`` move of the search tree from ``node`` to ``dst``."""
+    support = node ^ dst
+    shift = (support & -support).bit_length() - 1
+    size = support.bit_count()
+    bits = node >> shift
+    adjoint = not bits & 1
+    plus = bits if adjoint else ~bits
+    lo = k + shift // 2
+    values = tuple(((plus >> p) & 1) * 2 - 1 for p in range(size))
+    return ConservationSequence(lo, lo + size // 2, values, check=False), adjoint
 
 
 def _word_steps(k: int, l: int, start: str, target_occ: int):
@@ -324,11 +325,10 @@ def _word_steps(k: int, l: int, start: str, target_occ: int):
             f"from the {start} vector: generation theorem violated at this size"
         )
     chain = []
-    link = tree[target_occ]
-    while link is not None:
-        node, move = link
-        chain.append(_move_step(k, l, move))
-        link = tree[node]
+    dst, node = target_occ, tree[target_occ]
+    while node is not None:
+        chain.append(_step(k, node, dst))
+        dst, node = node, tree[node]
     chain.reverse()
     return tuple(chain)
 

@@ -271,8 +271,10 @@ def _distinct_blocks(
         keep = np.flatnonzero(entry_size == size)
         stack = np.zeros((members.size, size, size), dtype=np.int64)
         stack[slot[entry_block[keep]], pos[rows[keep]], pos[cols[keep]]] = h.vals[keep]
-        distinct, counts = np.unique(stack, axis=0, return_counts=True)
-        yield size, distinct, counts
+        # one opaque key per block: a byte sort, not a structured-row sort
+        keys = stack.reshape(members.size, -1).view(np.dtype((np.void, stack[0].nbytes)))
+        distinct, counts = np.unique(keys.ravel(), return_counts=True)
+        yield size, distinct.view(np.int64).reshape(-1, size, size), counts
 
 
 def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumReport:

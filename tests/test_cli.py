@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, round trips."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nicolai
 from nicolai.cli import main
@@ -354,3 +356,98 @@ def test_commands_import_no_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+# -- bad command lines and fuzzed inputs --------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--n", "1", "--target", "000", "--start", "nope"),
+    ("generate", "--n", "abc", "--target", "000"),
+    ("frobnicate",),
+    (),
+])
+def test_bad_command_line_is_usage_error_document(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["status"] == "failure"
+    assert doc["payload"]["code"] == "usage-error"
+    assert doc["params"] == {"argv": list(argv)}
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nicolai")
+
+
+def _run_quietly(argv, stdin_text=""):
+    """Run ``main`` in process; return its exit code and stdout."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def _one_document(code, out):
+    assert code in (0, 1, 2, 3)
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["status"] == ("ok" if code == 0 else "failure")
+    return doc
+
+
+_targets = st.one_of(
+    st.text("01", max_size=13),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2, 5), _targets, st.sampled_from(["fock", "occupied"]))
+def test_fuzzed_generate_ends_in_one_document(n, target, start):
+    code, out = _run_quietly(["generate", "--n", str(n), "--target", target, "--start", start])
+    doc = _one_document(code, out)
+    if code == 0:
+        assert doc["payload"]["target"] == target
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.text("+-01x", max_size=7),
+    st.lists(st.integers(0, 1), max_size=3),
+)
+_steps = st.fixed_dictionaries(
+    {},
+    optional={
+        "k": st.one_of(st.integers(-2, 5), _scalars),
+        "l": st.one_of(st.integers(-1, 6), _scalars),
+        "values": st.one_of(st.text("+-", min_size=3, max_size=11), _scalars),
+        "adjoint": _scalars,
+    },
+)
+_words = st.fixed_dictionaries(
+    {},
+    optional={
+        "start": st.one_of(st.sampled_from(["fock", "occupied"]), _scalars),
+        "k": st.one_of(st.just(0), _scalars),
+        "l": st.one_of(st.integers(1, 4), _scalars),
+        "target": st.one_of(st.text("01", min_size=3, max_size=9), _scalars),
+        "predicted_sign": st.one_of(st.sampled_from([1, -1]), _scalars),
+        "steps": st.one_of(st.lists(st.one_of(_steps, _scalars), max_size=3), _scalars),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_words, _scalars))
+def test_fuzzed_replay_ends_in_one_document(word):
+    _one_document(*_run_quietly(["replay", "--word", "-"], json.dumps(word)))

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
-from nicolai.charges import ConservationSequence, enumerate_union
+from nicolai.charges import ConservationSequence, _words, enumerate_union
 from nicolai.fock import FockVector, OccupationConfig
 from nicolai.ground import (
     GenerationWord,
@@ -15,7 +18,7 @@ from nicolai.ground import (
     replay_word_config,
     replay_word_matrix,
 )
-from nicolai.ground import _move_step, _moves
+from nicolai.ground import _reachability, _start_config, _word_steps
 from nicolai.model import Interval
 
 
@@ -189,14 +192,6 @@ TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k,l", [(0, 1), (0, 3), (-2, 1), (1, 5)])
-def test_moves_follow_the_union_space(k, l):
-    # the packed move arrays encode enumerate_union, plain before adjoint
-    supports, required = _moves(k, l)
-    expected = [(f, adj) for f in enumerate_union(k, l) for adj in (False, True)]
-    assert supports.size == required.size == len(expected)
-    decoded = [_move_step(k, l, move) for move in range(supports.size)]
-    assert decoded == expected
 
 
 @pytest.mark.parametrize("k,l,start", sorted(TABLE_DIGESTS))
@@ -247,3 +242,117 @@ def test_n8_word_payloads(start, target, sign, steps):
         "steps": steps,
         "predicted_sign": sign,
     }
+
+
+# -- the per-move search, kept as the oracle of the per-footprint search ------
+#
+# ``_moves``, ``_move_step`` and ``_reachability`` as the library had them
+# before the search tested each footprint once per frontier: every node is
+# compared with all moves of the union space in one numpy operation, and the
+# tree records ``(predecessor, move index)``.
+
+
+@lru_cache(maxsize=None)
+def _moves(k: int, l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Ordered move set: every sequence in the union space, both adjoint flags.
+
+    Acting on a product state, a charge requires a fixed bit pattern on its
+    support and then flips the whole support, so applicability is two integer
+    operations per move.  Moves follow ``enumerate_union(k, l)``, the plain
+    action of each sequence before its adjoint, and are built from the packed
+    words of ``_words`` (bit set where the sequence is ``+1``) without making
+    a sequence object per move.
+    """
+    supports: List[np.ndarray] = []
+    required: List[np.ndarray] = []
+    for lo in range(k, l):
+        for hi in range(lo + 1, l + 1):
+            size = 2 * (hi - lo) + 1
+            shift = 2 * (lo - k)
+            plus = _words(size) << shift
+            support = np.full(plus.size, ((1 << size) - 1) << shift, dtype=np.int64)
+            supports.append(np.repeat(support, 2))
+            # plain action annihilates where f = -1 (occupied bits required);
+            # the adjoint annihilates where f = +1.
+            required.append(np.stack((support ^ plus, plus), axis=1).ravel())
+    return np.concatenate(supports), np.concatenate(required)
+
+
+def _move_step(k: int, l: int, move: int) -> Tuple[ConservationSequence, bool]:
+    """The ``(sequence, adjoint)`` pair of one move of ``_moves(k, l)``."""
+    supports, required = _moves(k, l)
+    support = int(supports[move])
+    adjoint = bool(move & 1)
+    plus = int(required[move]) ^ (0 if adjoint else support)
+    shift = (support & -support).bit_length() - 1
+    size = support.bit_count()
+    lo = k + shift // 2
+    values = tuple(((plus >> (shift + p)) & 1) * 2 - 1 for p in range(size))
+    return ConservationSequence(lo, lo + size // 2, values, check=False), adjoint
+
+
+@lru_cache(maxsize=None)
+def _oracle_reachability(k: int, l: int, start: str) -> Dict[int, Optional[Tuple[int, int]]]:
+    """Breadth-first search from a start config, run until nothing new appears.
+
+    Returns the search tree: each reached configuration maps to its
+    ``(predecessor, move index)``, the start to ``None``.  Ties break
+    lexicographically (frontier ascending, then move order), which makes the
+    certificates deterministic.
+    """
+    supports, required = _moves(k, l)
+    start_occ = _start_config(start, Interval(k, l).inner).occ
+    tree = {start_occ: None}
+    frontier = [start_occ]
+    while frontier:
+        fresh = []
+        for node in frontier:
+            moves = np.flatnonzero((node & supports) == required)
+            for dst, move in zip((node ^ supports[moves]).tolist(), moves.tolist()):
+                if dst not in tree:
+                    tree[dst] = (node, move)
+                    fresh.append(dst)
+        frontier = sorted(fresh)
+    return tree
+
+
+def _oracle_word_steps(k, l, start, target_occ):
+    tree = _oracle_reachability(k, l, start)
+    chain = []
+    link = tree[target_occ]
+    while link is not None:
+        node, move = link
+        chain.append(_move_step(k, l, move))
+        link = tree[node]
+    chain.reverse()
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("k,l", [(0, 1), (0, 3), (-2, 1), (1, 5)])
+def test_moves_follow_the_union_space(k, l):
+    # the oracle's packed move arrays encode enumerate_union, plain before adjoint
+    supports, required = _moves(k, l)
+    expected = [(f, adj) for f in enumerate_union(k, l) for adj in (False, True)]
+    assert supports.size == required.size == len(expected)
+    decoded = [_move_step(k, l, move) for move in range(supports.size)]
+    assert decoded == expected
+
+
+ORACLE_CASES = (
+    [(0, n, start) for n in range(1, 9) for start in ("fock", "occupied")]
+    + [(0, 9, "occupied")]
+    + [(k, l, start) for k, l in ((-2, 1), (-3, 0), (1, 4)) for start in ("fock", "occupied")]
+)
+
+
+@pytest.mark.parametrize("k,l,start", ORACLE_CASES)
+def test_footprint_search_matches_the_per_move_oracle(k, l, start):
+    # same reached set, same parent for every configuration, same word for
+    # every target
+    oracle = _oracle_reachability(k, l, start)
+    tree = _reachability(k, l, start)
+    assert tree == {dst: link and link[0] for dst, link in oracle.items()}
+    for target in oracle:
+        assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
+    _oracle_reachability.cache_clear()
+    _reachability.cache_clear()
