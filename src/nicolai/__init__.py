@@ -36,13 +36,10 @@ from .model import (
     symmetry_report,
 )
 from .charges import (
-    ChargeOperator,
     ConservationSequence,
-    build_charge,
     charge_monomial,
     enumerate_sequences,
     enumerate_union,
-    negate,
     verify_annihilation,
     verify_commutation,
 )

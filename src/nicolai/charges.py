@@ -13,27 +13,25 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import product
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fock import (
     FermionMonomial,
+    IntegerSparseOperator,
     SiteWindow,
-    anticommutator,
+    _products,
+    _products_right,
     build_matrix,
-    commutator,
 )
 from .model import Interval, ModelOperators, supercharge_term
 
 __all__ = [
     "ConservationSequence",
-    "ChargeOperator",
     "enumerate_sequences",
     "enumerate_union",
-    "build_charge",
     "charge_monomial",
-    "negate",
     "verify_annihilation",
     "verify_commutation",
 ]
@@ -217,11 +215,6 @@ class ConservationSequence:
         return cls.from_string(int(payload["k"]), int(payload["l"]), payload["values"])
 
 
-def negate(f: ConservationSequence) -> ConservationSequence:
-    """Pointwise sign flip; the constraints are symmetric so it stays valid."""
-    return ConservationSequence(f.k, f.l, tuple(-v for v in f.values))
-
-
 def enumerate_sequences(k: int, l: int) -> List[ConservationSequence]:
     """All conservation sequences on ``[2k..2l]``, in lexicographic order."""
     if k >= l:
@@ -253,54 +246,64 @@ def charge_monomial(f: ConservationSequence) -> FermionMonomial:
     return FermionMonomial.increasing(factors)
 
 
-@dataclass(frozen=True)
-class ChargeOperator:
-    """A conservation sequence together with its charge monomial."""
-
-    sequence: ConservationSequence
-    monomial: FermionMonomial
-
-
-def build_charge(f: ConservationSequence) -> ChargeOperator:
-    return ChargeOperator(f, charge_monomial(f))
+def _charge_matrices(sequences: Sequence[ConservationSequence], window: SiteWindow, problem: str):
+    """The charge matrix of every sequence; ``problem`` is raised when the
+    window misses a sequence interval."""
+    for f in sequences:
+        if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
+            raise ValueError(problem)
+    return [build_matrix(charge_monomial(f), window) for f in sequences]
 
 
-def verify_annihilation(f: ConservationSequence, window: SiteWindow) -> bool:
-    """Exactly check that the charge kills every local supercharge term.
+def verify_annihilation(sequences: Sequence[ConservationSequence], window: SiteWindow) -> bool:
+    """Exactly check that every charge kills every local supercharge term.
 
     For every triplet center whose triplet fits inside ``window`` and touches
     the sequence interval, all four products of the charge with ``q(i)`` and
     ``q*(i)`` (both orders) must be the zero matrix.  (Triplets disjoint from
     the interval commute or anticommute with the charge but their products do
     not vanish, so they are outside the claim.)
+
+    The charges are grouped by center, and each center takes two products with
+    all its charges and their transposes at once: ``q(i) Q(f)``, ``q*(i) Q(f)``
+    and the transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
     """
-    if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
-        raise ValueError("window does not contain the sequence interval")
-    charge = build_matrix(charge_monomial(f), window)
-    lo_center = max((window.lo + 2) // 2, f.k)  # 2i-1 >= lo and triplet meets [2k..2l]
-    hi_center = min((window.hi - 1) // 2, f.l)  # 2i+1 <= hi
-    for i in range(lo_center, hi_center + 1):
+    charges = _charge_matrices(sequences, window, "window does not contain the sequence interval")
+    by_center: Dict[int, list] = {}
+    for f, charge in zip(sequences, charges):
+        both = (charge, charge.transpose())
+        lo_center = max((window.lo + 2) // 2, f.k)  # 2i-1 >= lo and triplet meets [2k..2l]
+        hi_center = min((window.hi - 1) // 2, f.l)  # 2i+1 <= hi
+        for i in range(lo_center, hi_center + 1):
+            by_center.setdefault(i, []).extend(both)
+    for i, operands in sorted(by_center.items()):
         term = build_matrix(supercharge_term(i), window)
-        for other in (term, term.adjoint()):
-            if not (charge @ other).is_zero():
-                return False
-            if not (other @ charge).is_zero():
+        for q in (term, term.adjoint()):
+            if not all(p.is_zero() for p in _products(q, operands)):
                 return False
     return True
 
 
-def verify_commutation(f: ConservationSequence, m: ModelOperators) -> bool:
-    """Exactly check the conservation law against a finite-interval model.
+def _balanced(x: IntegerSparseOperator, charges: list, sign: int) -> bool:
+    """Whether ``x C == sign * C x`` for every ``C`` in ``charges``."""
+    left, right = _products(x, charges), _products_right(charges, x)
+    return all(l == r.scaled(sign) for l, r in zip(left, right))
+
+
+def verify_commutation(sequences: Sequence[ConservationSequence], m: ModelOperators) -> bool:
+    """Exactly check the conservation law of every charge against a
+    finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
-    of the charge with both supercharges.
+    of the charge with both supercharges; each of the four identities takes
+    two products with all the charges at once.
     """
-    if not (m.window.lo <= 2 * f.k and 2 * f.l <= m.window.hi):
-        raise ValueError("sequence interval not inside the model window")
-    charge = build_matrix(charge_monomial(f), m.window)
+    charges = _charge_matrices(
+        sequences, m.window, "sequence interval not inside the model window"
+    )
     return (
-        anticommutator(m.Q, charge).is_zero()
-        and anticommutator(m.Qdag, charge).is_zero()
-        and commutator(m.H, charge).is_zero()
-        and commutator(m.H, charge.adjoint()).is_zero()
+        _balanced(m.Q, charges, -1)
+        and _balanced(m.Qdag, charges, -1)
+        and _balanced(m.H, charges, 1)
+        and _balanced(m.H, [c.adjoint() for c in charges], 1)
     )

@@ -461,25 +461,14 @@ class IntegerSparseOperator:
         return IntegerSparseOperator._wrap(self.window, self.key, self.vals * np.int64(c))
 
     def transpose(self) -> "IntegerSparseOperator":
-        key = (self.rows << self.window.size) | self.cols
-        return IntegerSparseOperator(self.window, key, self.vals)
+        key, vals = _transpose_blocks(self.window, self.key, self.vals)
+        return IntegerSparseOperator._wrap(self.window, key, vals)
 
     # Entries are integers, so the adjoint is the transpose.
     adjoint = transpose
 
     def __matmul__(self, other: "IntegerSparseOperator") -> "IntegerSparseOperator":
-        self._check_window(other)
-        if self.is_zero() or other.is_zero():
-            return IntegerSparseOperator.zero(self.window)
-        row_nnz = int(np.bincount(self.rows).max())
-        col_nnz = int(np.bincount(other.cols).max())
-        terms = min(row_nnz, col_nnz)
-        if terms * self.entry_bound() * other.entry_bound() < _INT64_SAFE:
-            key, vals = _assemble(_product_pieces(self, other))
-            return IntegerSparseOperator._wrap(self.window, key, vals)
-        return IntegerSparseOperator.from_entries(
-            self.window, _matmul_bigint(self.entries(), other.entries())
-        )
+        return _products(self, [other])[0]
 
     def apply(self, v: FockVector) -> FockVector:
         """Exact matrix-vector product (big-integer arithmetic)."""
@@ -538,8 +527,104 @@ def _sum_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
         )
 
 
-def _product_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
-    """The terms of ``a @ b`` as packed keys and int64 values.
+def _products(a: IntegerSparseOperator, bs) -> list:
+    """``[a @ b for b in bs]``, from one product of ``a`` with the wide matrix
+    ``[b_0 | b_1 | ...]`` (see ``_stack``).
+
+    The int64 bound of a single product is certified once for the whole
+    batch, ``min(row nnz of a, largest column nnz of the b's) * |a| * max |b|``;
+    a batch that fails it is computed item by item with Python integers.
+    """
+    out = []
+    for group in _batches(a, bs):
+        key, vals = _stack(a.window, group)
+        if _certified(a, key, vals):
+            out += _unstack(a.window, len(group), *_assemble(_product_pieces(a, key, vals)))
+        else:
+            out += [_bigint_product(a, b) for b in group]
+    return out
+
+
+def _products_right(bs, a: IntegerSparseOperator) -> list:
+    """``[b @ a for b in bs]``, as ``(aᵀ @ bᵀ)ᵀ``: the same wide product, with
+    every block transposed before and after it."""
+    window, at = a.window, a.transpose()
+    out = []
+    for group in _batches(a, bs):
+        key, vals = _transpose_blocks(window, *_stack(window, group))
+        if _certified(at, key, vals):
+            key, vals = _assemble(_product_pieces(at, key, vals))
+            out += _unstack(window, len(group), *_transpose_blocks(window, key, vals))
+        else:
+            out += [_bigint_product(b, a) for b in group]
+    return out
+
+
+def _batches(a: IntegerSparseOperator, bs) -> list:
+    """``bs``, checked to share ``a``'s window, in groups small enough that
+    a block index fits above the packed keys in int64."""
+    for b in bs:
+        a._check_window(b)
+    per = 1 << (62 - 2 * a.window.size)
+    return [bs[i : i + per] for i in range(0, len(bs), per)]
+
+
+def _stack(window: SiteWindow, ops):
+    """The wide matrix ``[op_0 | op_1 | ...]`` as one canonical ``(key, vals)``.
+
+    Block ``t`` holds ``op_t``'s packed keys plus ``t << 2 * size``: its
+    columns are ``t * dim`` on, and the blocks follow each other in key order.
+    """
+    if len(ops) == 1:
+        return ops[0].key, ops[0].vals
+    key = np.concatenate([op.key for op in ops])
+    blocks = np.arange(len(ops), dtype=np.int64) << (2 * window.size)
+    key |= np.repeat(blocks, [op.nnz for op in ops])
+    return key, np.concatenate([op.vals for op in ops])
+
+
+def _unstack(window: SiteWindow, count: int, key: np.ndarray, vals: np.ndarray) -> list:
+    """The ``count`` operators whose wide matrix is ``(key, vals)``."""
+    if count == 1:
+        return [IntegerSparseOperator._wrap(window, key, vals)]
+    shift = 2 * window.size
+    edges = np.searchsorted(key, np.arange(count + 1, dtype=np.int64) << shift).tolist()
+    low = (1 << shift) - 1
+    return [
+        IntegerSparseOperator._wrap(window, key[s:e] & low, vals[s:e])
+        for s, e in zip(edges, edges[1:])
+    ]
+
+
+def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
+    """A wide matrix with every block transposed (one block: the plain transpose)."""
+    size, mask = window.size, window.dimension - 1
+    blocks = key >> (2 * size) << (2 * size)
+    return _canonical(blocks | ((key & mask) << size) | ((key >> size) & mask), vals)
+
+
+def _certified(a: IntegerSparseOperator, key: np.ndarray, vals: np.ndarray) -> bool:
+    """Whether int64 holds every entry and partial sum of ``a`` times a wide
+    matrix: ``min(row nnz of a, largest column nnz) * |a| * max |b|`` is
+    below ``_INT64_SAFE``."""
+    if a.is_zero() or key.size == 0:
+        return True
+    scale = a.entry_bound() * int(np.abs(vals).max())
+    if a.window.dimension * scale < _INT64_SAFE:  # no row has more than dim entries
+        return True
+    row_nnz = int(np.bincount(a.rows).max())
+    # keys are sorted, so each column of the wide matrix is one run of keys
+    cols = key >> a.window.size
+    edges = np.empty(cols.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(cols[1:], cols[:-1], out=edges[1:-1])
+    col_nnz = int(np.diff(np.flatnonzero(edges)).max())
+    return min(row_nnz, col_nnz) * scale < _INT64_SAFE
+
+
+def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
+    """The terms of ``a @ b`` as packed keys and int64 values, for ``b`` given
+    by its canonical, possibly wide, ``(b_key, b_vals)``.
 
     Every entry ``(k, j)`` of ``b`` pairs with the whole column ``k`` of ``a``,
     a contiguous run of ``a.key``.  ``b``'s columns are expanded in chunks of
@@ -547,8 +632,11 @@ def _product_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
     columns of the result, so the chunks' key ranges are disjoint and
     ascending.
     """
+    if b_key.size == 0:
+        yield b_key, b_vals
+        return
     size = a.window.size
-    b_rows, b_cols = b.rows, b.cols
+    b_rows, b_cols = b_key & (a.window.dimension - 1), b_key >> size
     a_col_nnz = np.bincount(a.cols, minlength=a.window.dimension)
     counts = a_col_nnz[b_rows]
     lo = np.cumsum(a_col_nnz)[b_rows] - counts  # where column b_rows of a starts
@@ -568,8 +656,12 @@ def _product_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
         idx = np.arange(first, first + int(n.sum())) + np.repeat(lo[s:e] - ahead[s:e], n)
         yield (
             np.repeat(b_cols[s:e] << size, n) | a_rows[idx],
-            a.vals[idx] * np.repeat(b.vals[s:e], n),
+            a.vals[idx] * np.repeat(b_vals[s:e], n),
         )
+
+
+def _bigint_product(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:
+    return IntegerSparseOperator.from_entries(a.window, _matmul_bigint(a.entries(), b.entries()))
 
 
 def _matmul_bigint(a_entries: dict, b_entries: dict) -> dict:

@@ -11,11 +11,9 @@ from nicolai.charges import (
     _alternates,
     _first_word,
     _words,
-    build_charge,
     charge_monomial,
     enumerate_sequences,
     enumerate_union,
-    negate,
     verify_annihilation,
     verify_commutation,
 )
@@ -25,15 +23,21 @@ from nicolai.fock import (
     SiteWindow,
     anticommutator,
     build_matrix,
+    commutator,
     parity_operator,
     particle_hole_unitary,
 )
 from nicolai.ground import count_transfer, enumerate_upsilon_hat
-from nicolai.model import build_supercharge
+from nicolai.model import build_supercharge, supercharge_term
 
 
 def _seq(k, l, text):
     return ConservationSequence.from_string(k, l, text)
+
+
+def negate(f):
+    """Pointwise sign flip; the constraints are symmetric so it stays valid."""
+    return ConservationSequence(f.k, f.l, tuple(-v for v in f.values))
 
 
 # -- the sequence space -------------------------------------------------------
@@ -247,8 +251,6 @@ def test_mixed_charges_from_tables():
     assert t_i.factors == (
         (0, True), (1, True), (2, True), (3, False), (4, False), (5, True), (6, True)
     )
-    op = build_charge(_seq(0, 2, "---++"))
-    assert op.monomial == u_i and op.sequence.to_string() == "---++"
 
 
 def test_charges_are_odd():
@@ -303,29 +305,114 @@ def test_adjoint_negation_sign():
 # -- conservation laws --------------------------------------------------------
 
 def test_annihilation_examples():
-    assert verify_annihilation(ConservationSequence.constant(0, 1, 1), SiteWindow(-1, 3))
-    assert verify_annihilation(ConservationSequence.constant(0, 2, -1), SiteWindow(-1, 5))
+    assert verify_annihilation([ConservationSequence.constant(0, 1, 1)], SiteWindow(-1, 3))
+    assert verify_annihilation([ConservationSequence.constant(0, 2, -1)], SiteWindow(-1, 5))
     corrupted = ConservationSequence.from_string(0, 2, "+----", check=False)
-    assert not verify_annihilation(corrupted, SiteWindow(-1, 5))
+    assert not verify_annihilation([corrupted], SiteWindow(-1, 5))
     with pytest.raises(ValueError):
-        verify_annihilation(ConservationSequence.constant(0, 2, 1), SiteWindow(0, 3))
+        verify_annihilation([ConservationSequence.constant(0, 2, 1)], SiteWindow(0, 3))
 
 
 def test_commutation_examples():
     m1 = build_supercharge((0, 1), "open")
-    assert verify_commutation(ConservationSequence.constant(0, 1, 1), m1)
+    assert verify_commutation([ConservationSequence.constant(0, 1, 1)], m1)
     m2 = build_supercharge((0, 2), "open")
-    assert verify_commutation(_seq(0, 2, "---++"), m2)
+    assert verify_commutation([_seq(0, 2, "---++")], m2)
     with pytest.raises(ValueError):
-        verify_commutation(_seq(0, 2, "---++"), m1)
+        verify_commutation([_seq(0, 2, "---++")], m1)
 
 
 def test_commutation_sweep_n3():
     m = build_supercharge((0, 3), "open")
     union = enumerate_union(0, 3)
     assert len(union) == 36
-    assert all(verify_commutation(f, m) for f in union)
-    assert all(verify_annihilation(f, m.window) for f in union)
+    assert verify_commutation(union, m)
+    assert verify_annihilation(union, m.window)
+
+
+# The per-sequence checks the batched ones replaced, kept as their oracle.
+
+def _annihilation_oracle(f, window):
+    if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
+        raise ValueError("window does not contain the sequence interval")
+    charge = build_matrix(charge_monomial(f), window)
+    lo_center = max((window.lo + 2) // 2, f.k)  # 2i-1 >= lo and triplet meets [2k..2l]
+    hi_center = min((window.hi - 1) // 2, f.l)  # 2i+1 <= hi
+    for i in range(lo_center, hi_center + 1):
+        term = build_matrix(supercharge_term(i), window)
+        for other in (term, term.adjoint()):
+            if not (charge @ other).is_zero():
+                return False
+            if not (other @ charge).is_zero():
+                return False
+    return True
+
+
+def _commutation_oracle(f, m):
+    if not (m.window.lo <= 2 * f.k and 2 * f.l <= m.window.hi):
+        raise ValueError("sequence interval not inside the model window")
+    charge = build_matrix(charge_monomial(f), m.window)
+    return (
+        anticommutator(m.Q, charge).is_zero()
+        and anticommutator(m.Qdag, charge).is_zero()
+        and commutator(m.H, charge).is_zero()
+        and commutator(m.H, charge.adjoint()).is_zero()
+    )
+
+
+def _assert_oracle_verdicts(sequences, m):
+    for f in sequences:
+        assert verify_commutation([f], m) == _commutation_oracle(f, m), f
+        assert verify_annihilation([f], m.window) == _annihilation_oracle(f, m.window), f
+    assert verify_commutation(sequences, m) == all(_commutation_oracle(f, m) for f in sequences)
+    assert verify_annihilation(sequences, m.window) == all(
+        _annihilation_oracle(f, m.window) for f in sequences
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_batched_checks_match_per_sequence_oracle(n):
+    _assert_oracle_verdicts(enumerate_union(0, n), build_supercharge((0, n), "open"))
+
+
+@pytest.mark.parametrize("letters", [3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1])
+def test_batched_checks_match_oracle_on_every_string(letters, k):
+    # every +-1 string, constraint-violating ones included, at the left edge
+    # of the model window (k = 0) and one step inside it (k = 1)
+    l = k + letters // 2
+    strings = [
+        ConservationSequence(k, l, values, check=False)
+        for values in product((-1, 1), repeat=letters)
+    ]
+    m = build_supercharge((0, l), "open")
+    _assert_oracle_verdicts(strings, m)
+    # the constraints decide: only admissible strings are conserved
+    admissible = set(enumerate_sequences(k, l))
+    for f in strings:
+        assert verify_commutation([f], m) == (f in admissible), f.to_string()
+
+
+def test_charges_suite_takes_few_products(monkeypatch):
+    # each identity is a few batched products over all sequences, not one
+    # product per sequence and center (about 2,900 at n = 4); every product,
+    # int64 or big-integer, goes through one of the two counted functions
+    from nicolai import fock
+    from nicolai.verify import charges_suite
+
+    calls = []
+    pieces, bigint = fock._product_pieces, fock._matmul_bigint
+
+    def counted(function):
+        def wrapper(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
+    monkeypatch.setattr(fock, "_matmul_bigint", counted(bigint))
+    assert all(c.passed for c in charges_suite(4))
+    assert 0 < len(calls) <= 64
 
 
 def test_sequence_json_round_trip():

@@ -181,6 +181,28 @@ def test_verify_suites_pass(capsys):
     assert code == 0 and doc["payload"]["passed"]
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_one_wrong_charge_fails_the_charges_suite(capsys, monkeypatch, where):
+    # a corrupted sequence anywhere in the batch must fail both checks, so a
+    # block boundary that is off by one cannot hide it
+    from nicolai import verify
+    from nicolai.charges import ConservationSequence, enumerate_union
+
+    corrupted = ConservationSequence.from_string(0, 2, "+----", check=False)
+
+    def with_corrupted(p, q):
+        union = enumerate_union(p, q)
+        at = {"first": 0, "middle": len(union) // 2, "last": len(union)}[where]
+        return union[:at] + [corrupted] + union[at:]
+
+    monkeypatch.setattr(verify, "enumerate_union", with_corrupted)
+    checks = verify.charges_suite(4)
+    assert len(checks) == 2 and not any(c.passed for c in checks)
+    code, doc = _run_json(capsys, "verify", "charges", "--n", "4")
+    assert code == 1 and doc["status"] == "failure"
+    assert doc["payload"]["code"] == "verification-failure"
+
+
 def test_verify_usage_errors(capsys):
     code, doc = _run_json(capsys, "verify", "algebra", "--n", "9")
     assert code == 2 and doc["status"] == "failure"

@@ -434,3 +434,71 @@ def test_packed_keys_refuse_oversized_windows():
     assert IntegerSparseOperator.zero(SiteWindow(0, 30)).is_zero()
     with pytest.raises(ValueError):
         IntegerSparseOperator.zero(SiteWindow(0, 31))
+
+
+# -- batched products ------------------------------------------------------------
+
+def _canonical_form(op):
+    return bool(np.all(op.key[1:] > op.key[:-1]) and np.all(op.vals != 0))
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
+    # chunk=3 splits the wide expansion inside and between the blocks
+    if chunk is not None:
+        monkeypatch.setattr(fock, "_CHUNK", chunk)
+    rng = random.Random(43)
+    for trial in range(40):
+        size = rng.randint(1, 6)
+        lo = rng.randint(-3, 3)
+        w = SiteWindow(lo, lo + size - 1)
+        a = IntegerSparseOperator.zero(w) if trial == 0 else build_matrix(_rand_sum(rng, w), w)
+        bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(rng.randint(0, 6))]
+        bs.insert(rng.randint(0, len(bs)), IntegerSparseOperator.zero(w))
+        left, right = fock._products(a, bs), fock._products_right(bs, a)
+        assert len(left) == len(right) == len(bs)
+        for b, ab, ba in zip(bs, left, right):
+            assert ab == a @ b and _same(ab, csr(a) @ csr(b)) and _canonical_form(ab)
+            assert ba == b @ a and _same(ba, csr(b) @ csr(a)) and _canonical_form(ba)
+    assert fock._products(a, []) == [] and fock._products_right([], a) == []
+
+
+def test_batched_products_fall_back_item_by_item(monkeypatch):
+    # one item with entries of 2^31 fails the batch's int64 bound, so every
+    # item takes the big-integer path, with the same results
+    calls = []
+
+    def counted(a_entries, b_entries):
+        calls.append(1)
+        return _matmul_bigint(a_entries, b_entries)
+
+    monkeypatch.setattr(fock, "_matmul_bigint", counted)
+    rng = random.Random(47)
+    w = SiteWindow(0, 2)
+    a = IntegerSparseOperator.diagonal(w, [1 << 31] * w.dimension)
+    bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(4)]
+    bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
+    left, right = fock._products(a, bs), fock._products_right(bs, a)
+    assert len(calls) == 2 * len(bs)
+    for b, ab, ba in zip(bs, left, right):
+        assert _same(ab, csr(a) @ csr(b)) and _same(ba, csr(b) @ csr(a))
+    assert left[2].entries() == {(i, i): -(1 << 62) for i in range(w.dimension)}
+
+
+def test_batched_products_refuse_window_mismatch():
+    w, other = SiteWindow(0, 2), SiteWindow(1, 3)
+    a = IntegerSparseOperator.identity(w)
+    bs = [IntegerSparseOperator.identity(w), IntegerSparseOperator.identity(other)]
+    with pytest.raises(ValueError):
+        fock._products(a, bs)
+    with pytest.raises(ValueError):
+        fock._products_right(bs, a)
+
+
+def test_batched_products_split_when_block_keys_would_overflow():
+    # a 31-site window leaves no key bits for a block index: one block per product
+    w = SiteWindow(0, 30)
+    zero = IntegerSparseOperator.zero(w)
+    products = fock._products(zero, [zero] * 3)
+    assert len(products) == 3 and all(p.is_zero() for p in products)
+    assert len(fock._products_right([zero] * 3, zero)) == 3
