@@ -18,22 +18,16 @@ from .fock import (
     apply_monomial,
     build_matrix,
     commutator,
-    graded_commutator,
-    monomial_adjoint,
     number_operator,
     parity_operator,
-    particle_hole_unitary,
 )
 from .model import (
     Interval,
     ModelOperators,
     SpectrumReport,
-    SymmetryReport,
     build_supercharge,
-    bulk_term_crosscheck,
     spectrum,
     supercharge_term,
-    symmetry_report,
 )
 from .charges import (
     ConservationSequence,

@@ -207,7 +207,7 @@ def _cmd_generate(args) -> tuple:
     replayed = replay_word_matrix(word)
     confirmed = replayed == FockVector.from_config(target, word.predicted_sign)
     if not confirmed:
-        raise _CommandFailure(_EXIT_FAILURE, "generated word failed matrix replay")
+        raise _CommandFailure(_EXIT_FAILURE, "generated word failed its vector replay")
     payload = word.to_json()
     payload["replay_verified"] = True
     rows = [("step", "k", "l", "values", "adjoint")] + [

@@ -46,14 +46,11 @@ __all__ = [
     "IntegerSparseOperator",
     "apply_ladder",
     "apply_monomial",
-    "monomial_adjoint",
     "build_matrix",
-    "graded_commutator",
     "anticommutator",
     "commutator",
     "number_operator",
     "parity_operator",
-    "particle_hole_unitary",
 ]
 
 # int64 products are exact below this; anything bigger takes the bigint path.
@@ -134,12 +131,6 @@ class OccupationConfig:
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def popcount(self) -> int:
-        return int(self.occ).bit_count()
-
-    def complement(self) -> "OccupationConfig":
-        return OccupationConfig(self.window, self.occ ^ (self.window.dimension - 1))
-
 
 def apply_ladder(config: OccupationConfig, site: int, dagger: bool):
     """Act with ``c*_site`` (``dagger=True``) or ``c_site`` on a configuration.
@@ -192,13 +183,6 @@ class FermionMonomial:
     def degree(self) -> int:
         return len(self.factors)
 
-    @property
-    def parity(self) -> str:
-        return "odd" if len(self.factors) & 1 else "even"
-
-    def support(self):
-        return {s for s, _ in self.factors}
-
     def adjoint(self) -> "FermionMonomial":
         """Conjugate transpose: reversed factor order with daggers toggled."""
         return FermionMonomial(
@@ -237,10 +221,6 @@ class FermionMonomial:
         )
 
 
-def monomial_adjoint(m: FermionMonomial) -> FermionMonomial:
-    return m.adjoint()
-
-
 @dataclass(frozen=True)
 class OperatorSum:
     """A finite integer-linear combination of ladder monomials."""
@@ -249,18 +229,6 @@ class OperatorSum:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    def adjoint(self) -> "OperatorSum":
-        return OperatorSum(tuple(t.adjoint() for t in self.terms))
-
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        return OperatorSum(self.terms + other.terms)
-
-    def support(self):
-        out = set()
-        for t in self.terms:
-            out |= t.support()
-        return out
 
 
 @dataclass(frozen=True)
@@ -427,12 +395,6 @@ class IntegerSparseOperator:
 
     def __hash__(self):
         raise TypeError("IntegerSparseOperator is not hashable")
-
-    def to_dense(self, dtype=float) -> np.ndarray:
-        dim = self.window.dimension
-        out = np.zeros((dim, dim), dtype=dtype)
-        out[self.rows, self.cols] = self.vals
-        return out
 
     # -- exact arithmetic ----------------------------------------------------
 
@@ -709,23 +671,9 @@ def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
 def commutator(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:
     return a @ b - b @ a
 
+
 def anticommutator(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:
     return a @ b + b @ a
-
-
-def graded_commutator(
-    a: IntegerSparseOperator,
-    b: IntegerSparseOperator,
-    parity_a: str,
-    parity_b: str,
-) -> IntegerSparseOperator:
-    """Anticommutator when both operators are odd, commutator otherwise."""
-    for p in (parity_a, parity_b):
-        if p not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {p!r}")
-    if parity_a == "odd" and parity_b == "odd":
-        return anticommutator(a, b)
-    return commutator(a, b)
 
 
 def _popcounts(window: SiteWindow) -> np.ndarray:
@@ -742,17 +690,3 @@ def parity_operator(window: SiteWindow) -> IntegerSparseOperator:
     """Diagonal (-1)**N matrix of the window."""
     return IntegerSparseOperator.diagonal(window, 1 - 2 * (_popcounts(window) & 1))
 
-
-def particle_hole_unitary(window: SiteWindow) -> IntegerSparseOperator:
-    """Matrix of the increasing-order product of ``(c_s + c*_s)`` over the window.
-
-    Conjugation by this unitary swaps ``c_s`` and ``c*_s`` up to a global sign
-    that depends only on the window size (no residual sign on odd windows).
-    """
-    u = IntegerSparseOperator.identity(window)
-    for s in window.sites:
-        majorana = OperatorSum(
-            (FermionMonomial(1, ((s, False),)), FermionMonomial(1, ((s, True),)))
-        )
-        u = u @ build_matrix(majorana, window)
-    return u

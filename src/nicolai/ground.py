@@ -37,8 +37,8 @@ from .fock import (
     OccupationConfig,
     SiteWindow,
     apply_monomial,
-    build_matrix,
 )
+from .kernels import closed_form
 from .model import Interval, build_supercharge
 
 __all__ = [
@@ -347,17 +347,36 @@ def replay_word_config(word: GenerationWord):
     return cfg, sign
 
 
-@lru_cache(maxsize=None)
-def _charge_matrix(f: ConservationSequence, adjoint: bool, window: SiteWindow):
-    return build_matrix(_step_monomial(f, adjoint), window)
+def _apply_closed_form(m: FermionMonomial, v: FockVector) -> FockVector:
+    """``m`` applied to ``v`` through its ``kernels.closed_form`` masks, entry
+    by entry (a surviving state has exactly one image, so no two collide)."""
+    window = v.window
+    form = closed_form([(window.bit(s), d) for s, d in reversed(m.factors)])
+    if form is None:
+        return FockVector.zero(window)
+    support, required, flip, const, parity = form
+    c = const * m.coefficient
+    return FockVector(
+        window,
+        {
+            idx ^ flip: -c * amp if (idx & parity).bit_count() & 1 else c * amp
+            for idx, amp in v.amplitudes.items()
+            if idx & support == required
+        },
+    )
 
 
 def replay_word_matrix(word: GenerationWord) -> FockVector:
-    """Replay a word through full matrix application (independent oracle)."""
+    """Replay a word on the start vector through the closed form of each
+    step's charge, the reduction that builds every matrix of the package.
+
+    This is independent of the ladder walk of ``replay_word_config``, and
+    touches only the vector's own entries, never the whole window.
+    """
     window = Interval(word.k, word.l).inner
     vec = FockVector.from_config(_start_config(word.start, window))
     for f, adjoint in word.steps:
-        vec = _charge_matrix(f, adjoint, window).apply(vec)
+        vec = _apply_closed_form(_step_monomial(f, adjoint), vec)
     return vec
 
 

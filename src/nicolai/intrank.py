@@ -14,16 +14,16 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-__all__ = ["integer_rank", "rows_from_csr", "stacked_nullity"]
+__all__ = ["integer_rank", "rows_from_csr"]
 
 
 def rows_from_csr(mat, cols: Optional[np.ndarray] = None) -> List[Dict[int, int]]:
     """Extract nonzero rows of a sparse matrix as ``{col: int}`` dicts.
 
     ``mat`` is any matrix with a ``.tocsr()`` method, such as a scipy sparse
-    matrix.  No command uses this; it serves the tests' oracles.  When
-    ``cols`` is given, columns are restricted to that subset and re-indexed
-    by position in ``cols``.
+    matrix.  No command uses this; it is kept for the benchmark's span and
+    the tests' oracles.  When ``cols`` is given, columns are restricted to
+    that subset and re-indexed by position in ``cols``.
     """
     csr = mat.tocsr()
     remap = None
@@ -86,22 +86,3 @@ def integer_rank(rows: Iterable[Dict[int, int]]) -> int:
         active = reduced
     return rank
 
-
-def stacked_nullity(mats, cols: Optional[np.ndarray] = None) -> int:
-    """Dimension of the joint kernel of the stacked matrices.
-
-    ``mats`` is an iterable of matrices with ``.tocsr()`` and ``.shape``
-    (such as scipy sparse matrices) sharing a column space; ``cols``
-    optionally restricts that space to a subset of columns.  Returns
-    ``n_cols - rank`` of the vertically stacked system, computed exactly.  No
-    command uses this; it serves the tests' oracles.
-    """
-    rows: List[Dict[int, int]] = []
-    n_cols = None
-    for m in mats:
-        if n_cols is None:
-            n_cols = len(cols) if cols is not None else m.shape[1]
-        rows.extend(rows_from_csr(m, cols))
-    if n_cols is None:
-        raise ValueError("no matrices given")
-    return n_cols - integer_rank(rows)

@@ -1,4 +1,4 @@
-"""Supercharges, Hamiltonians and symmetry checks for the Nicolai chain.
+"""Supercharges, Hamiltonians and spectra for the Nicolai chain.
 
 The chain's supercharge density sits on triplets centered at even sites:
 ``q(i) = c_{2i+1} c*_{2i} c_{2i-1}``.  On the interval ``I(k,l) = [2k..2l]``
@@ -29,10 +29,6 @@ from .fock import (
     SiteWindow,
     anticommutator,
     build_matrix,
-    commutator,
-    number_operator,
-    parity_operator,
-    particle_hole_unitary,
 )
 from .intrank import integer_rank
 
@@ -40,11 +36,8 @@ __all__ = [
     "Interval",
     "ModelOperators",
     "SpectrumReport",
-    "SymmetryReport",
     "supercharge_term",
     "build_supercharge",
-    "bulk_term_crosscheck",
-    "symmetry_report",
     "spectrum",
 ]
 
@@ -88,10 +81,6 @@ class ModelOperators:
     Qdag: IntegerSparseOperator
     H: IntegerSparseOperator
 
-    @property
-    def charge_sum(self) -> OperatorSum:
-        return OperatorSum(self.terms)
-
 
 @lru_cache(maxsize=None)
 def _build_supercharge_cached(k: int, l: int, edge_mode: str) -> ModelOperators:
@@ -118,78 +107,6 @@ def build_supercharge(interval: Union[Interval, Tuple[int, int]], edge_mode: str
     if not isinstance(interval, Interval):
         interval = Interval(*interval)
     return _build_supercharge_cached(interval.k, interval.l, edge_mode)
-
-
-def _hamiltonian_density(i: int) -> List[FermionMonomial]:
-    """The five-term normal-form summand of ``H`` attached to index ``i``.
-
-    Equals ``{q(i), q*(i)} + {q(i), q*(i+1)} + {q(i+1), q*(i)}`` exactly; the
-    remaining diagonal piece ``{q(i+1), q*(i+1)}`` belongs to index ``i+1``.
-    """
-    a, b, c, d, e = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
-    return [
-        FermionMonomial(1, ((b, True), (a, False), (d, False), (e, True))),
-        FermionMonomial(1, ((a, True), (b, False), (e, False), (d, True))),
-        FermionMonomial(1, ((b, True), (b, False), (c, False), (c, True))),
-        FermionMonomial(1, ((a, True), (a, False), (b, False), (b, True))),
-        FermionMonomial(-1, ((a, True), (a, False), (c, False), (c, True))),
-    ]
-
-
-def _diagonal_density(i: int) -> List[FermionMonomial]:
-    """Just the on-triplet part ``{q(i), q*(i)}`` in normal form."""
-    return _hamiltonian_density(i)[2:]
-
-
-def bulk_term_crosscheck(i: int) -> bool:
-    """Check the explicit normal-ordered expansion of the Hamiltonian density.
-
-    Builds ``sum_{j,j' in {i,i+1}} {q(2j), q*(2j')}`` on an eight-site window
-    and compares it, entry by entry, with the five displayed density terms at
-    ``i`` plus the diagonal terms attributed to ``i+1``.  Also confirms that
-    cross terms with index distance >= 2 vanish identically.
-    """
-    window = SiteWindow(2 * i - 2, 2 * i + 5)
-    q_i = build_matrix(supercharge_term(i), window)
-    q_n = build_matrix(supercharge_term(i + 1), window)
-    lhs = (
-        anticommutator(q_i, q_i.adjoint())
-        + anticommutator(q_i, q_n.adjoint())
-        + anticommutator(q_n, q_i.adjoint())
-        + anticommutator(q_n, q_n.adjoint())
-    )
-    rhs = build_matrix(_hamiltonian_density(i) + _diagonal_density(i + 1), window)
-    if lhs != rhs:
-        return False
-    far_window = SiteWindow(2 * i - 1, 2 * i + 5)
-    q_far = build_matrix(supercharge_term(i + 2), far_window)
-    q_lo = build_matrix(supercharge_term(i), far_window)
-    return anticommutator(q_lo, q_far.adjoint()).is_zero() and anticommutator(
-        q_far, q_lo.adjoint()
-    ).is_zero()
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Exact symmetry booleans for a finite-interval Hamiltonian."""
-
-    number_commutes: bool
-    parity_commutes: bool
-    particle_hole_invariant: bool  # reported, not asserted, on finite windows
-
-
-def symmetry_report(m: ModelOperators) -> SymmetryReport:
-    n_op = number_operator(m.window)
-    p_op = parity_operator(m.window)
-    u = particle_hole_unitary(m.window)
-    conjugated = u @ m.H @ u.transpose()
-    # (c_s + c*_s) squares to one, so the product over the window is orthogonal
-    # and transposition inverts it.
-    return SymmetryReport(
-        number_commutes=commutator(m.H, n_op).is_zero(),
-        parity_commutes=commutator(m.H, p_op).is_zero(),
-        particle_hole_invariant=(conjugated == m.H),
-    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .charges import (
-    charge_monomial,
     enumerate_sequences,
     enumerate_union,
     verify_annihilation,
@@ -32,7 +31,6 @@ from .fock import (
     parity_operator,
 )
 from .ground import (
-    charge_action_on_config,
     enumerate_upsilon_hat,
     is_open_edge_susy_vector,
     is_close_edge_susy_vector,
@@ -40,7 +38,7 @@ from .ground import (
 from .model import Interval, build_supercharge
 
 __all__ = ["Check", "algebra_suite", "charges_suite", "classification_suite",
-           "fixtures_suite", "cross_oracle_suite", "SUITES", "run_suite"]
+           "fixtures_suite", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -188,33 +186,6 @@ def fixtures_suite() -> List[Check]:
         ok = produced == expected and len(table["configs"]) == len(expected)
         checks.append(Check(f"{name}: {len(expected)} configs reproduced", ok))
     return checks
-
-
-def cross_oracle_suite(pairs: int = 500, seed: int = 0) -> List[Check]:
-    """Config-level charge action versus full matrix application, with signs."""
-    rng = random.Random(seed)
-    pool = enumerate_union(0, 4)
-    agree = True
-    for _ in range(pairs):
-        f = rng.choice(pool)
-        window = SiteWindow(2 * f.k - rng.randint(0, 1), 2 * f.l + rng.randint(0, 1))
-        cfg = OccupationConfig(window, rng.randrange(window.dimension))
-        adjoint = rng.random() < 0.5
-        mono = charge_monomial(f)
-        if adjoint:
-            mono = mono.adjoint()
-        via_matrix = build_matrix(mono, window).apply(FockVector.from_config(cfg))
-        via_config = charge_action_on_config(f, cfg, adjoint)
-        if via_config is None:
-            if not via_matrix.is_zero():
-                agree = False
-                break
-        else:
-            out, sign = via_config
-            if via_matrix != FockVector.from_config(out, sign):
-                agree = False
-                break
-    return [Check(f"charge action oracle agreement ({pairs} pairs, seed {seed})", agree)]
 
 
 SUITES = ("algebra", "charges", "classification", "fixtures")

@@ -27,9 +27,9 @@ from nicolai.verify import (
     algebra_suite,
     charges_suite,
     classification_suite,
-    cross_oracle_suite,
     fixtures_suite,
 )
+from oracles import cross_oracle_suite
 from sparse_oracle import csr
 
 
@@ -155,8 +155,8 @@ def test_criterion_7_spectral_properties():
         ok &= bool(evals.min() >= -1e-9)
         rank_q = integer_rank(rows_from_csr(csr(m.Q)))
         zeros = m.window.dimension - rank_q
-        a = np.sort(np.linalg.eigvalsh((m.Q @ m.Qdag).to_dense()))[zeros:]
-        b = np.sort(np.linalg.eigvalsh((m.Qdag @ m.Q).to_dense()))[zeros:]
+        a = np.sort(np.linalg.eigvalsh(csr(m.Q @ m.Qdag).toarray()))[zeros:]
+        b = np.sort(np.linalg.eigvalsh(csr(m.Qdag @ m.Q).toarray()))[zeros:]
         ok &= bool(np.allclose(a, b, atol=1e-9))
         classical = len(enumerate_upsilon_hat(0, n))
         ok &= rep.kernel_dimension >= classical

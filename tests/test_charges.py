@@ -25,10 +25,10 @@ from nicolai.fock import (
     build_matrix,
     commutator,
     parity_operator,
-    particle_hole_unitary,
 )
 from nicolai.ground import count_transfer, enumerate_upsilon_hat
 from nicolai.model import build_supercharge, supercharge_term
+from oracles import particle_hole_unitary
 
 
 def _seq(k, l, text):

@@ -269,6 +269,54 @@ def test_generate_and_replay_round_trip(capsys, tmp_path):
     assert doc["payload"]["consistent"] is True
 
 
+def test_generate_and_replay_build_no_matrix(capsys, monkeypatch, tmp_path):
+    # words are replayed on their one vector: no window-wide matrix is built
+    # or applied, and the documents are those of the matrix replay
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window-wide matrix was built or applied")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("nicolai")]:
+        if hasattr(module, "build_matrix"):
+            monkeypatch.setattr(module, "build_matrix", refuse)
+    monkeypatch.setattr(nicolai.fock.IntegerSparseOperator, "apply", refuse)
+    code, doc = _run_json(capsys, "generate", "--n", "8", "--target", "00011100001100011")
+    assert code == 0
+    del doc["elapsed_ms"]
+    assert doc == {
+        "command": "generate",
+        "params": {
+            "command": "generate", "n": 8, "seed": 0, "start": "fock",
+            "target": "00011100001100011",
+        },
+        "payload": {
+            "k": 0, "l": 8, "predicted_sign": 1, "replay_verified": True, "start": "fock",
+            "steps": [
+                {"adjoint": True, "k": 3, "l": 4, "values": "---"},
+                {"adjoint": True, "k": 0, "l": 4, "values": "------+++"},
+                {"adjoint": False, "k": 0, "l": 1, "values": "---"},
+                {"adjoint": True, "k": 6, "l": 7, "values": "---"},
+                {"adjoint": True, "k": 5, "l": 8, "values": "--+++--"},
+            ],
+            "target": "00011100001100011",
+        },
+        "status": "ok",
+    }
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps(doc))
+    code, doc = _run_json(capsys, "replay", "--word", str(word_file))
+    assert code == 0
+    del doc["elapsed_ms"]
+    assert doc == {
+        "command": "replay",
+        "params": {"command": "replay", "seed": 0, "word": str(word_file)},
+        "payload": {
+            "consistent": True, "predicted_sign": 1, "steps": 5,
+            "target": "00011100001100011",
+        },
+        "status": "ok",
+    }
+
+
 def test_generate_trivial_and_occupied(capsys):
     code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "00000")
     assert code == 0 and doc["payload"]["steps"] == []
@@ -294,7 +342,7 @@ def test_generate_and_replay_size_guard(capsys, tmp_path):
     word_file.write_text(json.dumps(doc["payload"]))
     code, doc = _run_json(capsys, "--max-dim", "16", "replay", "--word", str(word_file))
     assert code == 3 and doc["payload"]["code"] == "resource-limit"
-    # a 29-site word is refused under the default --max-dim before any matrix
+    # a 29-site word is refused under the default --max-dim before any replay
     wide = {"start": "fock", "k": 0, "l": 14, "target": "0" * 29, "predicted_sign": 1, "steps": []}
     word_file.write_text(json.dumps(wide))
     code, doc = _run_json(capsys, "replay", "--word", str(word_file))

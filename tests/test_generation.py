@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nicolai.charges import ConservationSequence, _words, enumerate_union
-from nicolai.fock import FockVector, OccupationConfig
+from nicolai.fock import FockVector, OccupationConfig, build_matrix
 from nicolai.ground import (
     GenerationWord,
     enumerate_upsilon_hat,
@@ -18,7 +18,7 @@ from nicolai.ground import (
     replay_word_config,
     replay_word_matrix,
 )
-from nicolai.ground import _reachability, _start_config, _word_steps
+from nicolai.ground import _reachability, _start_config, _step_monomial, _word_steps
 from nicolai.model import Interval
 
 
@@ -124,7 +124,9 @@ def test_particle_hole_duality_of_words():
     # negating every step sequence maps a fock-start word for g into an
     # occupied-start word for the bit complement of g
     for n in (1, 2, 3):
+        full = Interval(0, n).inner.dimension - 1
         for text, word in generation_table(0, n, "fock").items():
+            complement = OccupationConfig(word.target.window, word.target.occ ^ full)
             dual = GenerationWord(
                 start="occupied",
                 k=word.k,
@@ -133,11 +135,11 @@ def test_particle_hole_duality_of_words():
                     (ConservationSequence(f.k, f.l, tuple(-v for v in f.values)), adj)
                     for f, adj in word.steps
                 ),
-                target=word.target.complement(),
+                target=complement,
                 predicted_sign=1,
             )
             cfg, sign = replay_word_config(dual)
-            assert cfg == word.target.complement()
+            assert cfg == complement
             assert replay_word_matrix(dual) == FockVector.from_config(cfg, sign)
 
 
@@ -356,3 +358,68 @@ def test_footprint_search_matches_the_per_move_oracle(k, l, start):
         assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
     _oracle_reachability.cache_clear()
     _reachability.cache_clear()
+
+
+# -- the matrix replay, kept as the oracle of the closed-form replay ----------
+#
+# ``replay_word_matrix`` as the library had it before words were replayed on
+# their one vector: every step builds its charge as a matrix over the whole
+# window and applies it.
+
+
+@lru_cache(maxsize=None)
+def _charge_matrix(f, adjoint, window):
+    return build_matrix(_step_monomial(f, adjoint), window)
+
+
+def _replay_by_matrices(word):
+    window = Interval(word.k, word.l).inner
+    vec = FockVector.from_config(_start_config(word.start, window))
+    for f, adjoint in word.steps:
+        vec = _charge_matrix(f, adjoint, window).apply(vec)
+    return vec
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("start", ["fock", "occupied"])
+def test_closed_form_replay_matches_matrix_replay(n, start):
+    for word in generation_table(0, n, start).values():
+        expected = FockVector.from_config(word.target, word.predicted_sign)
+        assert _replay_by_matrices(word) == replay_word_matrix(word) == expected
+    _charge_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("start,target,sign,steps", N8_WORDS)
+def test_closed_form_replay_matches_matrix_replay_at_n8(start, target, sign, steps):
+    word = GenerationWord.from_json(
+        {"start": start, "k": 0, "l": 8, "target": target, "steps": steps,
+         "predicted_sign": sign}
+    )
+    expected = FockVector.from_config(word.target, sign)
+    assert _replay_by_matrices(word) == replay_word_matrix(word) == expected
+    _charge_matrix.cache_clear()
+
+
+def _corrupted_words():
+    """Words that must not reach their target: one adjoint flag flipped, or
+    one step whose pattern does not match the bits it meets."""
+    for n in (2, 3, 4):
+        for start in ("fock", "occupied"):
+            for word in generation_table(0, n, start).values():
+                for i, (f, adjoint) in enumerate(word.steps):
+                    flipped = word.steps[:i] + ((f, not adjoint),) + word.steps[i + 1:]
+                    yield GenerationWord(start, 0, n, flipped, word.target, 1)
+                    negated = ConservationSequence(f.k, f.l, tuple(-v for v in f.values))
+                    swapped = word.steps[:i] + ((negated, adjoint),) + word.steps[i + 1:]
+                    yield GenerationWord(start, 0, n, swapped, word.target, 1)
+
+
+def test_corrupted_words_fail_alike_on_both_replays():
+    count = 0
+    for word in _corrupted_words():
+        vec = replay_word_matrix(word)
+        assert vec == _replay_by_matrices(word)
+        assert vec.classical_config() is None or vec.classical_config()[0] != word.target
+        count += 1
+    assert count > 100
+    _charge_matrix.cache_clear()

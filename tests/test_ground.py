@@ -18,7 +18,8 @@ from nicolai.ground import (
     is_open_edge_susy_vector,
 )
 from nicolai.model import Interval
-from nicolai.verify import classification_suite, cross_oracle_suite
+from nicolai.verify import classification_suite
+from oracles import cross_oracle_suite
 
 
 def _cfg(lo, hi, text):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sps
 
-from nicolai.intrank import integer_rank, rows_from_csr, stacked_nullity
+from nicolai.intrank import integer_rank, rows_from_csr
 from nicolai.model import build_supercharge
+from oracles import stacked_nullity
 from sparse_oracle import csr
 
 

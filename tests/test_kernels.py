@@ -15,6 +15,7 @@ from nicolai.fock import (
     apply_monomial,
     build_matrix,
 )
+from nicolai.ground import _apply_closed_form
 
 
 def _monomial_action_oracle(size, factors):
@@ -59,6 +60,29 @@ def test_closed_form_matches_per_factor_sweep(case):
     assert targets.dtype == signs.dtype == np.int64
     assert np.array_equal(targets, expected_targets)
     assert np.array_equal(signs, expected_signs)
+
+
+@st.composite
+def _monomials_and_vectors(draw):
+    # the closed form applied entry by entry, on vectors with several entries
+    size = draw(st.integers(1, 6))
+    lo = draw(st.integers(-3, 3))
+    window = SiteWindow(lo, lo + size - 1)
+    factors = draw(
+        st.lists(st.tuples(st.integers(window.lo, window.hi), st.booleans()), max_size=6)
+    )
+    coefficient = draw(st.sampled_from([1, -1, 2, -2]))
+    amplitudes = draw(
+        st.dictionaries(st.integers(0, window.dimension - 1), st.integers(-3, 3), max_size=8)
+    )
+    return FermionMonomial(coefficient, factors), FockVector(window, amplitudes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_monomials_and_vectors())
+def test_closed_form_on_a_vector_matches_ladder_walk(case):
+    mono, vec = case
+    assert _apply_closed_form(mono, vec) == apply_monomial(mono, vec)
 
 
 def test_identity_monomial_action():
