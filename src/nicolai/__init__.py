@@ -11,7 +11,6 @@ from .fock import (
     FockVector,
     IntegerSparseOperator,
     OccupationConfig,
-    OperatorSum,
     SiteWindow,
     anticommutator,
     apply_ladder,

@@ -25,7 +25,7 @@ from .fock import (
     _products_right,
     build_matrix,
 )
-from .model import Interval, ModelOperators, supercharge_term
+from .model import ModelOperators, supercharge_term
 
 __all__ = [
     "ConservationSequence",
@@ -187,14 +187,6 @@ class ConservationSequence:
             raise ValueError(f"sequence letters must be '-' or '+', got {text!r}")
         return cls(k, l, tuple(_VALUE[ch] for ch in text), check)
 
-    @classmethod
-    def constant(cls, k: int, l: int, sign: int) -> "ConservationSequence":
-        return cls(k, l, (sign,) * (2 * (l - k) + 1))
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.k, self.l)
-
     @property
     def sites(self) -> range:
         return range(2 * self.k, 2 * self.l + 1)
@@ -206,13 +198,6 @@ class ConservationSequence:
 
     def to_string(self) -> str:
         return "".join(_CHAR[v] for v in self.values)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "l": self.l, "values": self.to_string()}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ConservationSequence":
-        return cls.from_string(int(payload["k"]), int(payload["l"]), payload["values"])
 
 
 def enumerate_sequences(k: int, l: int) -> List[ConservationSequence]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -38,6 +37,9 @@ _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 
 _ENUMERATE_CAP = 12  # direct enumeration bound for enumerate and count
+# Transfer count bound: 2 * 3**(n-1) must print, and Python refuses to turn an
+# int of more than 4300 digits into text (n = 9000 gives 4294 digits).
+_TRANSFER_CAP = 9000
 
 
 _REASON_CODES = {
@@ -66,6 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
+    """Write the result document to ``--output`` or stdout; an ``OSError``
+    propagates to ``main``'s failure handling."""
     elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     if args.format == "csv" and csv_rows is not None:
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
@@ -78,13 +82,8 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
             "elapsed_ms": elapsed_ms,
         }
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    out_path = getattr(args, "output", None) or os.environ.get("NICOLAI_OUTPUT_DIR")
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
-    elif out_path:
-        target = os.path.join(out_path, f"{command}.{args.format}")
-        with open(target, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -106,10 +105,13 @@ def _emit_failure(
 
 
 def _guard_dimension(size: int, max_dim: int):
-    if (1 << size) > max_dim:
+    """Refuse a window whose dimension ``2**size`` exceeds ``max_dim``, without
+    building ``2**size``: it does exactly when ``size`` reaches the bit length
+    of ``max_dim`` (every size, for ``max_dim < 1``)."""
+    if size >= max(max_dim, 0).bit_length():
         raise _CommandFailure(
             _EXIT_RESOURCE,
-            f"window of {size} sites has dimension {1 << size} > --max-dim {max_dim}",
+            f"window of {size} sites has dimension 2^{size} > --max-dim {max_dim}",
         )
 
 
@@ -145,6 +147,8 @@ def _cmd_count(args) -> tuple:
     n = args.n
     methods = {}
     if args.method in ("transfer", "both"):
+        if n > _TRANSFER_CAP:
+            raise _CommandFailure(_EXIT_RESOURCE, f"transfer count capped at n <= {_TRANSFER_CAP}")
         methods["transfer"] = count_transfer(n)
     if args.method in ("enumerate", "both"):
         methods["enumerate"] = len(_admissible_words(n))
@@ -307,6 +311,7 @@ def main(argv=None) -> int:
     }
     try:
         payload, rows = args.handler(args)
+        return _emit(args, args.command, params, payload, started, csv_rows=rows)
     except _CommandFailure as failure:
         return _emit_failure(args.command, params, failure.reason, failure.code, started)
     except GenerationError as exc:
@@ -315,7 +320,6 @@ def main(argv=None) -> int:
         return _emit_failure(args.command, params, str(exc), _EXIT_RESOURCE, started)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _emit_failure(args.command, params, str(exc), _EXIT_USAGE, started)
-    return _emit(args, args.command, params, payload, started, csv_rows=rows)
 
 
 if __name__ == "__main__":

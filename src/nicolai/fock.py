@@ -17,11 +17,10 @@ Conventions, fixed once and used everywhere:
   the right.  ``FermionMonomial.increasing`` accepts the natural left-to-right
   increasing-site notation and records it faithfully.
 * All matrix algebra is exact integer arithmetic.  Matrices are stored as
-  sorted int64 arrays of packed positions and values.  Every operation
-  certifies an a-priori magnitude bound first.  A product whose bound fails
-  is computed with Python integers instead, and sums, multiples and results
-  that do not fit int64 raise ``OverflowError``, so no operation ever
-  overflows silently.
+  sorted int64 arrays of packed positions and values.  Every operation, and
+  every construction from given entries, certifies an a-priori magnitude
+  bound below ``2**62`` first and raises ``OverflowError`` when the bound
+  fails, so no operation ever overflows silently.
 
 Zero results (annihilated vectors, empty matrices) are ordinary values, never
 errors.
@@ -29,7 +28,6 @@ errors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple
 
@@ -41,7 +39,6 @@ __all__ = [
     "SiteWindow",
     "OccupationConfig",
     "FermionMonomial",
-    "OperatorSum",
     "FockVector",
     "IntegerSparseOperator",
     "apply_ladder",
@@ -53,7 +50,8 @@ __all__ = [
     "parity_operator",
 ]
 
-# int64 products are exact below this; anything bigger takes the bigint path.
+# int64 arithmetic is exact below this bound; an operation that cannot certify
+# it raises OverflowError.
 _INT64_SAFE = 1 << 62
 # The packed key ``col * dim + row`` must fit in int64.
 _MAX_SIZE = 31
@@ -163,10 +161,6 @@ class FermionMonomial:
         object.__setattr__(self, "factors", tuple((int(s), bool(d)) for s, d in self.factors))
 
     @classmethod
-    def identity(cls, coefficient: int = 1) -> "FermionMonomial":
-        return cls(coefficient, ())
-
-    @classmethod
     def increasing(cls, factors, coefficient: int = 1) -> "FermionMonomial":
         """Product written left-to-right in strictly increasing site order.
 
@@ -188,47 +182,6 @@ class FermionMonomial:
         return FermionMonomial(
             self.coefficient, tuple((s, not d) for s, d in reversed(self.factors))
         )
-
-    def scaled(self, c: int) -> "FermionMonomial":
-        return FermionMonomial(c * self.coefficient, self.factors)
-
-    def to_json(self) -> dict:
-        """Serialize in increasing-order notation (requires distinct sites)."""
-        factors = list(self.factors)
-        sites = [s for s, _ in factors]
-        if len(set(sites)) != len(sites):
-            raise ValueError("serialization requires factors at distinct sites")
-        # Bubble into increasing order; every adjacent swap of distinct-site
-        # ladder factors flips the sign.
-        coeff = self.coefficient
-        for i in range(len(factors)):
-            for j in range(len(factors) - 1 - i):
-                if factors[j][0] > factors[j + 1][0]:
-                    factors[j], factors[j + 1] = factors[j + 1], factors[j]
-                    coeff = -coeff
-        return {
-            "coefficient": coeff,
-            "factors": [{"site": s, "dagger": d} for s, d in factors],
-        }
-
-    @classmethod
-    def from_json(cls, payload) -> "FermionMonomial":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
-        return cls.increasing(
-            [(f["site"], bool(f["dagger"])) for f in payload["factors"]],
-            coefficient=int(payload["coefficient"]),
-        )
-
-
-@dataclass(frozen=True)
-class OperatorSum:
-    """A finite integer-linear combination of ladder monomials."""
-
-    terms: Tuple[FermionMonomial, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
 
 
 @dataclass(frozen=True)
@@ -255,14 +208,6 @@ class FockVector:
     def from_config(cls, config: OccupationConfig, amplitude: int = 1) -> "FockVector":
         return cls(config.window, {config.occ: amplitude})
 
-    @classmethod
-    def vacuum(cls, window: SiteWindow) -> "FockVector":
-        return cls(window, {0: 1})
-
-    @classmethod
-    def occupied(cls, window: SiteWindow) -> "FockVector":
-        return cls(window, {window.dimension - 1: 1})
-
     def is_zero(self) -> bool:
         return not self.amplitudes
 
@@ -274,17 +219,6 @@ class FockVector:
         if amp not in (1, -1):
             return None
         return OccupationConfig(self.window, idx), amp
-
-    def scaled(self, c: int) -> "FockVector":
-        return FockVector(self.window, {i: c * a for i, a in self.amplitudes.items()})
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if other.window != self.window:
-            raise ValueError("window mismatch")
-        out = dict(self.amplitudes)
-        for i, a in other.amplitudes.items():
-            out[i] = out.get(i, 0) + a
-        return FockVector(self.window, out)
 
 
 def apply_monomial(m: FermionMonomial, v: FockVector) -> FockVector:
@@ -312,9 +246,8 @@ class IntegerSparseOperator:
     of basis configuration ``j``.  The nonzero entries are two int64 arrays in
     canonical form: ``key = col * dim + row``, strictly increasing (so sorted
     by column, then row), and ``vals``, with no zeros.  Equal operators
-    therefore have equal arrays.  Arithmetic stays in int64 whenever a sound
-    magnitude bound certifies exactness; products switch to Python big
-    integers otherwise, and the other operations raise ``OverflowError``.
+    therefore have equal arrays.  Every operation certifies a sound int64
+    magnitude bound on its result, or raises ``OverflowError``.
     """
 
     __slots__ = ("window", "key", "vals")
@@ -323,14 +256,19 @@ class IntegerSparseOperator:
         """Operator with entries ``vals`` at packed positions ``key``.
 
         Keys may come in any order and repeat: repeated keys are summed and
-        zero entries dropped.
+        zero entries dropped.  Every entry, and with repeated keys every sum,
+        must be certified below ``_INT64_SAFE`` in magnitude.
         """
         if window.size > _MAX_SIZE:
             raise ValueError(f"window of {window.size} sites is too large for packed keys")
+        key, vals = np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
+        bound = _bound(vals)
+        if bound >= _INT64_SAFE or (
+            bound * vals.size >= _INT64_SAFE and np.unique(key).size < key.size
+        ):
+            raise OverflowError("operator entries exceed the certified int64 range")
         self.window = window
-        self.key, self.vals = _canonical(
-            np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
-        )
+        self.key, self.vals = _canonical(key, vals)
 
     @classmethod
     def _wrap(cls, window: SiteWindow, key: np.ndarray, vals: np.ndarray):
@@ -344,10 +282,6 @@ class IntegerSparseOperator:
     @classmethod
     def zero(cls, window: SiteWindow) -> "IntegerSparseOperator":
         return cls(window, (), ())
-
-    @classmethod
-    def identity(cls, window: SiteWindow) -> "IntegerSparseOperator":
-        return cls.diagonal(window, np.ones(window.dimension, dtype=np.int64))
 
     @classmethod
     def diagonal(cls, window: SiteWindow, diag) -> "IntegerSparseOperator":
@@ -376,7 +310,7 @@ class IntegerSparseOperator:
         return self.key.size
 
     def entry_bound(self) -> int:
-        return int(np.abs(self.vals).max()) if self.vals.size else 0
+        return _bound(self.vals)
 
     def entries(self) -> dict:
         return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist()))
@@ -416,7 +350,8 @@ class IntegerSparseOperator:
         return self.scaled(-1)
 
     def scaled(self, c: int) -> "IntegerSparseOperator":
-        if abs(c) * max(self.entry_bound(), 1) >= _INT64_SAFE:
+        # a unit multiple keeps every entry's magnitude, which is certified
+        if abs(c) > 1 and abs(c) * max(self.entry_bound(), 1) >= _INT64_SAFE:
             raise OverflowError("scalar multiple exceeds the certified int64 range")
         if c == 0:
             return IntegerSparseOperator.zero(self.window)
@@ -446,6 +381,12 @@ class IntegerSparseOperator:
             for i, x in zip((self.key[a:b] & mask).tolist(), self.vals[a:b].tolist()):
                 out[i] = out.get(i, 0) + x * amp
         return FockVector(self.window, out)
+
+
+def _bound(vals: np.ndarray) -> int:
+    """The largest magnitude in ``vals`` (0 when empty), read from its extremes,
+    since ``np.abs`` wraps ``-2**63``."""
+    return max(-int(vals.min()), int(vals.max())) if vals.size else 0
 
 
 def _canonical(key: np.ndarray, vals: np.ndarray):
@@ -493,17 +434,13 @@ def _products(a: IntegerSparseOperator, bs) -> list:
     """``[a @ b for b in bs]``, from one product of ``a`` with the wide matrix
     ``[b_0 | b_1 | ...]`` (see ``_stack``).
 
-    The int64 bound of a single product is certified once for the whole
-    batch, ``min(row nnz of a, largest column nnz of the b's) * |a| * max |b|``;
-    a batch that fails it is computed item by item with Python integers.
+    The int64 bound is certified once for the whole batch (see ``_certify``).
     """
     out = []
     for group in _batches(a, bs):
         key, vals = _stack(a.window, group)
-        if _certified(a, key, vals):
-            out += _unstack(a.window, len(group), *_assemble(_product_pieces(a, key, vals)))
-        else:
-            out += [_bigint_product(a, b) for b in group]
+        _certify(a, vals)
+        out += _unstack(a.window, len(group), *_assemble(_product_pieces(a, key, vals)))
     return out
 
 
@@ -514,11 +451,9 @@ def _products_right(bs, a: IntegerSparseOperator) -> list:
     out = []
     for group in _batches(a, bs):
         key, vals = _transpose_blocks(window, *_stack(window, group))
-        if _certified(at, key, vals):
-            key, vals = _assemble(_product_pieces(at, key, vals))
-            out += _unstack(window, len(group), *_transpose_blocks(window, key, vals))
-        else:
-            out += [_bigint_product(b, a) for b in group]
+        _certify(at, vals)
+        key, vals = _assemble(_product_pieces(at, key, vals))
+        out += _unstack(window, len(group), *_transpose_blocks(window, key, vals))
     return out
 
 
@@ -565,23 +500,12 @@ def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
     return _canonical(blocks | ((key & mask) << size) | ((key >> size) & mask), vals)
 
 
-def _certified(a: IntegerSparseOperator, key: np.ndarray, vals: np.ndarray) -> bool:
-    """Whether int64 holds every entry and partial sum of ``a`` times a wide
-    matrix: ``min(row nnz of a, largest column nnz) * |a| * max |b|`` is
-    below ``_INT64_SAFE``."""
-    if a.is_zero() or key.size == 0:
-        return True
-    scale = a.entry_bound() * int(np.abs(vals).max())
-    if a.window.dimension * scale < _INT64_SAFE:  # no row has more than dim entries
-        return True
-    row_nnz = int(np.bincount(a.rows).max())
-    # keys are sorted, so each column of the wide matrix is one run of keys
-    cols = key >> a.window.size
-    edges = np.empty(cols.size + 1, dtype=bool)
-    edges[0] = edges[-1] = True
-    np.not_equal(cols[1:], cols[:-1], out=edges[1:-1])
-    col_nnz = int(np.diff(np.flatnonzero(edges)).max())
-    return min(row_nnz, col_nnz) * scale < _INT64_SAFE
+def _certify(a: IntegerSparseOperator, vals: np.ndarray):
+    """Raise ``OverflowError`` unless int64 holds every entry and partial sum
+    of ``a`` times a (wide) matrix with values ``vals``: an entry sums at most
+    ``dim`` terms, so ``dim * |a| * max |b|`` must lie below ``_INT64_SAFE``."""
+    if a.window.dimension * a.entry_bound() * _bound(vals) >= _INT64_SAFE:
+        raise OverflowError("operator product exceeds the certified int64 range")
 
 
 def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
@@ -622,35 +546,14 @@ def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndar
         )
 
 
-def _bigint_product(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:
-    return IntegerSparseOperator.from_entries(a.window, _matmul_bigint(a.entries(), b.entries()))
-
-
-def _matmul_bigint(a_entries: dict, b_entries: dict) -> dict:
-    """Arbitrary-precision fallback product for uncertifiable int64 bounds."""
-    a_by_col: dict = {}
-    for (i, k), v in a_entries.items():
-        a_by_col.setdefault(k, []).append((i, v))
-    out: dict = {}
-    for (k, j), bv in b_entries.items():
-        for i, av in a_by_col.get(k, ()):
-            key = (i, j)
-            out[key] = out.get(key, 0) + av * bv
-    return {k: v for k, v in out.items() if v}
-
-
 def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
-    """Exact matrix of a monomial or operator sum on a window.
+    """Exact matrix of a monomial, or of the sum of an iterable of monomials,
+    on a window.
 
     Column ``j`` holds the image of basis configuration ``j``; each term's
     column images come from :func:`nicolai.kernels.monomial_action`.
     """
-    if isinstance(op, FermionMonomial):
-        terms = (op,)
-    elif isinstance(op, OperatorSum):
-        terms = op.terms
-    else:
-        terms = tuple(op)
+    terms = (op,) if isinstance(op, FermionMonomial) else tuple(op)
     keys, vals = [], []
     coeff_total = sum(abs(t.coefficient) for t in terms)
     if coeff_total >= _INT64_SAFE:

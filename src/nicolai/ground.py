@@ -92,11 +92,9 @@ def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
 
 # Transition matrix between consecutive site pairs (states 00, 01, 10, 11):
 # a step (a, b) -> (c, d) is allowed unless (a, b, c) alternates.
-TRANSFER_MATRIX: Tuple[Tuple[int, ...], ...] = (
-    (1, 1, 1, 1),
-    (0, 0, 1, 1),
-    (1, 1, 0, 0),
-    (1, 1, 1, 1),
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+TRANSFER_MATRIX: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(int(not _alternates(a, b, c)) for c, _ in _PAIRS) for a, b in _PAIRS
 )
 
 

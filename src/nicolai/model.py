@@ -25,7 +25,6 @@ import numpy as np
 from .fock import (
     FermionMonomial,
     IntegerSparseOperator,
-    OperatorSum,
     SiteWindow,
     anticommutator,
     build_matrix,
@@ -96,7 +95,7 @@ def _build_supercharge_cached(k: int, l: int, edge_mode: str) -> ModelOperators:
     else:
         raise ValueError(f"edge_mode must be 'open' or 'closed', got {edge_mode!r}")
     terms = tuple(supercharge_term(i) for i in indices)
-    q = build_matrix(OperatorSum(terms), window)
+    q = build_matrix(terms, window)
     qdag = q.adjoint()
     h = anticommutator(q, qdag)
     return ModelOperators(interval, edge_mode, window, terms, q, qdag, h)

@@ -16,7 +16,6 @@ from nicolai.fock import (
     FockVector,
     IntegerSparseOperator,
     OccupationConfig,
-    OperatorSum,
     SiteWindow,
     anticommutator,
     build_matrix,
@@ -51,11 +50,9 @@ def particle_hole_unitary(window: SiteWindow) -> IntegerSparseOperator:
     Conjugation by this unitary swaps ``c_s`` and ``c*_s`` up to a global sign
     that depends only on the window size (no residual sign on odd windows).
     """
-    u = IntegerSparseOperator.identity(window)
+    u = IntegerSparseOperator.diagonal(window, np.ones(window.dimension, dtype=np.int64))
     for s in window.sites:
-        majorana = OperatorSum(
-            (FermionMonomial(1, ((s, False),)), FermionMonomial(1, ((s, True),)))
-        )
+        majorana = (FermionMonomial(1, ((s, False),)), FermionMonomial(1, ((s, True),)))
         u = u @ build_matrix(majorana, window)
     return u
 

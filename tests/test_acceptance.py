@@ -98,7 +98,7 @@ def test_criterion_5_classification():
 
 def _explicit_constructions():
     def const(k, l, sign):
-        return ConservationSequence.constant(k, l, sign)
+        return ConservationSequence(k, l, (sign,) * (2 * (l - k) + 1))
 
     yield 2, "11100", [const(0, 1, 1)]
     yield 2, "00111", [const(1, 2, 1)]

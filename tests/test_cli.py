@@ -235,6 +235,44 @@ def test_spectrum_resource_guard(capsys):
     assert "max-dim" in doc["payload"]["reason"]
 
 
+def test_dimension_guard_handles_huge_windows(capsys):
+    # the guard never builds 2**size: a huge --n is a resource limit, not a
+    # usage error about printing an integer of more than 4300 digits
+    for argv in (
+        ("spectrum", "--n", "100000"),
+        ("generate", "--n", "20000", "--target", "0"),
+        ("generate", "--n", "1000000000", "--target", "0"),
+    ):
+        code, doc = _run_json(capsys, *argv)
+        assert code == 3 and doc["payload"]["code"] == "resource-limit"
+        assert "--max-dim" in doc["payload"]["reason"]
+
+
+def test_dimension_guard_agrees_with_the_dimension():
+    from nicolai.cli import _CommandFailure, _guard_dimension
+
+    limits = list(range(-3, 70)) + [(1 << 40) + d for d in (-1, 0, 1)] + [-(1 << 40)]
+    for max_dim in limits:
+        for size in range(45):
+            try:
+                _guard_dimension(size, max_dim)
+                refused = False
+            except _CommandFailure as failure:
+                refused = failure.code == 3
+            assert refused == ((1 << size) > max_dim), (size, max_dim)
+
+
+def test_transfer_count_cap(capsys):
+    code, doc = _run_json(capsys, "count", "--n", "9000", "--method", "transfer")
+    assert code == 0 and doc["payload"]["count"] == 2 * 3**8999
+    for n in ("9001", "1000000"):
+        code, doc = _run_json(capsys, "count", "--n", n, "--method", "transfer")
+        assert code == 3 and doc["payload"] == {
+            "code": "resource-limit",
+            "reason": "transfer count capped at n <= 9000",
+        }
+
+
 def test_spectrum_default_max_dim_admits_n6(capsys):
     # dimension 2**15, rejected by the earlier default of 2**14
     code, doc = _run_json(capsys, "spectrum", "--n", "6", "--edge", "open")
@@ -388,12 +426,13 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(out_file.read_text())["payload"]["count"] == 6
 
 
-def test_output_dir_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NICOLAI_OUTPUT_DIR", str(tmp_path))
-    code, out = _run(capsys, "count", "--n", "2")
-    assert code == 0 and out == ""
-    doc = json.loads((tmp_path / "count.json").read_text())
-    assert doc["payload"]["count"] == 6
+def test_output_to_unwritable_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out = _run(capsys, "--output", str(target), "count", "--n", "2")
+    doc = json.loads(out)  # one document on stdout, no traceback
+    assert code == 2 and doc["status"] == "failure" and doc["command"] == "count"
+    assert doc["payload"]["code"] == "usage-error"
+    assert not target.parent.exists()
 
 
 def test_overflow_is_resource_limit(capsys, monkeypatch):

@@ -11,9 +11,7 @@ from nicolai.fock import (
     FockVector,
     IntegerSparseOperator,
     OccupationConfig,
-    OperatorSum,
     SiteWindow,
-    _matmul_bigint,
     anticommutator,
     apply_ladder,
     apply_monomial,
@@ -28,6 +26,10 @@ from sparse_oracle import csr
 
 def _cfg(window, text):
     return OccupationConfig.from_string(window, text)
+
+
+def _eye(window):
+    return IntegerSparseOperator.diagonal(window, np.ones(window.dimension, dtype=np.int64))
 
 
 def _rand_monomial(rng, window, max_degree=4):
@@ -105,26 +107,26 @@ def test_sign_involution():
 def test_increasing_product_on_vacuum_has_plus_sign():
     w = SiteWindow(0, 4)
     mono = FermionMonomial.increasing([(0, True), (1, True)])
-    out = apply_monomial(mono, FockVector.vacuum(w))
+    out = apply_monomial(mono, FockVector(w, {0: 1}))
     assert out == FockVector.from_config(_cfg(w, "11000"), 1)
     # and for every configuration of the window
     for occ in range(w.dimension):
         cfg = OccupationConfig(w, occ)
         factors = [(s, True) for s in w.sites if cfg.bit(s)]
-        out = apply_monomial(FermionMonomial.increasing(factors), FockVector.vacuum(w))
+        out = apply_monomial(FermionMonomial.increasing(factors), FockVector(w, {0: 1}))
         assert out == FockVector.from_config(cfg, 1)
 
 
 def test_supercharge_term_kills_vacuum():
     w = SiteWindow(-1, 1)
     q0 = FermionMonomial(1, ((1, False), (0, True), (-1, False)))
-    assert apply_monomial(q0, FockVector.vacuum(w)).is_zero()
+    assert apply_monomial(q0, FockVector(w, {0: 1})).is_zero()
 
 
 def test_identity_monomial():
     w = SiteWindow(0, 2)
     v = FockVector(w, {3: 2, 5: -1})
-    assert apply_monomial(FermionMonomial.identity(), v) == v
+    assert apply_monomial(FermionMonomial(1, ()), v) == v
 
 
 def test_increasing_requires_sorted_sites():
@@ -140,7 +142,7 @@ def test_adjoint_of_supercharge_term():
 
 
 def test_adjoint_of_identity():
-    assert FermionMonomial.identity().adjoint() == FermionMonomial.identity()
+    assert FermionMonomial(1, ()).adjoint() == FermionMonomial(1, ())
 
 
 def test_adjoint_reverses_creation_string():
@@ -186,7 +188,7 @@ def test_car_anticommutator_is_identity():
     w = SiteWindow(0, 1)
     create = build_matrix(FermionMonomial(1, ((0, True),)), w)
     annihilate = build_matrix(FermionMonomial(1, ((0, False),)), w)
-    assert anticommutator(create, annihilate) == IntegerSparseOperator.identity(w)
+    assert anticommutator(create, annihilate) == _eye(w)
 
 
 def test_car_relations_exhaustive():
@@ -195,7 +197,7 @@ def test_car_relations_exhaustive():
         w = SiteWindow(0, size - 1)
         cr = [build_matrix(FermionMonomial(1, ((s, True),)), w) for s in w.sites]
         an = [build_matrix(FermionMonomial(1, ((s, False),)), w) for s in w.sites]
-        eye = IntegerSparseOperator.identity(w)
+        eye = _eye(w)
         for i in range(size):
             for j in range(size):
                 ac = anticommutator(cr[i], an[j])
@@ -229,7 +231,7 @@ def test_operator_sum_matrix_is_sum_of_terms():
     rng = random.Random(5)
     w = SiteWindow(0, 3)
     terms = tuple(_rand_monomial(rng, w) for _ in range(5))
-    total = build_matrix(OperatorSum(terms), w)
+    total = build_matrix(terms, w)
     acc = IntegerSparseOperator.zero(w)
     for t in terms:
         acc = acc + build_matrix(t, w)
@@ -262,7 +264,7 @@ def test_graded_commutator_dispatch():
     assert graded_commutator(n, n, "even", "even").is_zero()
     c = build_matrix(FermionMonomial(1, ((0, True),)), w)
     a = build_matrix(FermionMonomial(1, ((0, False),)), w)
-    assert graded_commutator(c, a, "odd", "odd") == IntegerSparseOperator.identity(w)
+    assert graded_commutator(c, a, "odd", "odd") == _eye(w)
     with pytest.raises(ValueError):
         graded_commutator(n, n, "even", "sideways")
 
@@ -298,13 +300,16 @@ def test_graded_leibniz_rule():
 
 # -- exact arithmetic plumbing -----------------------------------------------
 
-def test_matmul_falls_back_when_bound_uncertifiable():
-    # entries of 2^31 make the a-priori product bound hit the int64 guard,
-    # routing the product through the big-integer path; result stays exact
+def test_matmul_raises_when_bound_uncertifiable():
+    # entries of 2^31 on a 4-state window: the bound 4 * 2^31 * 2^31 fails
     w = SiteWindow(0, 1)
     big = 1 << 31
     a = IntegerSparseOperator.from_entries(w, {(i, i): big for i in range(4)})
-    assert (a @ a).entries() == {(i, i): big * big for i in range(4)}
+    with pytest.raises(OverflowError):
+        a @ a
+    # one factor smaller and the same product is certified and exact
+    b = IntegerSparseOperator.from_entries(w, {(i, i): 1 << 28 for i in range(4)})
+    assert (a @ b).entries() == {(i, i): 1 << 59 for i in range(4)}
 
 
 def test_oversized_entries_fail_loudly():
@@ -315,14 +320,26 @@ def test_oversized_entries_fail_loudly():
         IntegerSparseOperator.from_entries(w, {(0, 0): 1 << 40}).scaled(1 << 40)
 
 
-def test_bigint_fallback_agrees_with_csr():
-    rng = random.Random(23)
-    w = SiteWindow(0, 2)
-    for _ in range(20):
-        a = build_matrix(_rand_monomial(rng, w), w) + build_matrix(_rand_monomial(rng, w), w)
-        b = build_matrix(_rand_monomial(rng, w), w) + build_matrix(_rand_monomial(rng, w), w)
-        direct = (a @ b).entries()
-        assert _matmul_bigint(a.entries(), b.entries()) == direct
+def test_entries_at_the_int64_bound_are_refused():
+    # -2^63 has no int64 magnitude (np.abs wraps it), so a + a once passed
+    # certification and silently gave the zero operator
+    w = SiteWindow(0, 0)
+    for value in (-(1 << 63), 1 << 62, -(1 << 62)):
+        with pytest.raises(OverflowError):
+            IntegerSparseOperator(w, [0], [value])
+        with pytest.raises(OverflowError):
+            IntegerSparseOperator.from_entries(w, {(0, 0): value})
+        with pytest.raises(OverflowError):
+            IntegerSparseOperator.diagonal(w, [value, 1])
+    top = IntegerSparseOperator(w, [0], [(1 << 62) - 1])
+    assert top.entry_bound() == (1 << 62) - 1
+    assert IntegerSparseOperator(w, [0], [1 - (1 << 62)]).entry_bound() == (1 << 62) - 1
+    with pytest.raises(OverflowError):
+        top + top
+    # repeated keys are summed, so their sum must be certified too
+    with pytest.raises(OverflowError):
+        IntegerSparseOperator(w, [0, 0], [1 << 61, 1 << 61])
+    assert IntegerSparseOperator(w, [0, 0], [1 << 60, 1 << 60]).entries() == {(0, 0): 1 << 61}
 
 
 def test_apply_matches_matmul_on_basis():
@@ -339,18 +356,16 @@ def test_particle_hole_unitary_is_orthogonal():
     for size in (1, 2, 3, 5):
         w = SiteWindow(0, size - 1)
         u = particle_hole_unitary(w)
-        assert u @ u.transpose() == IntegerSparseOperator.identity(w)
+        assert u @ u.transpose() == _eye(w)
 
 
-def test_monomial_json_round_trip():
-    q0 = FermionMonomial(1, ((1, False), (0, True), (-1, False)))
-    doc = q0.to_json()
+def test_supercharge_term_in_increasing_notation():
     # increasing-order notation flips the outer pair: one reordering sign
-    assert doc["coefficient"] == -1
-    assert [f["site"] for f in doc["factors"]] == [-1, 0, 1]
-    back = FermionMonomial.from_json(doc)
+    q0 = FermionMonomial(1, ((1, False), (0, True), (-1, False)))
     w = SiteWindow(-1, 1)
-    assert build_matrix(back, w) == build_matrix(q0, w)
+    increasing = FermionMonomial.increasing([(-1, False), (0, True), (1, False)])
+    assert build_matrix(q0, w) == -build_matrix(increasing, w)
+    assert build_matrix(q0, w) == build_matrix(FermionMonomial(-1, increasing.factors), w)
 
 
 def test_zero_vector_is_explicit():
@@ -363,7 +378,7 @@ def test_zero_vector_is_explicit():
 # -- scipy as an oracle for the packed-array operators -------------------------
 
 def _rand_sum(rng, window, terms=4):
-    return OperatorSum(tuple(_rand_monomial(rng, window) for _ in range(rng.randint(0, terms))))
+    return tuple(_rand_monomial(rng, window) for _ in range(rng.randint(0, terms)))
 
 
 def _same(op, mat):
@@ -402,16 +417,10 @@ def test_operator_arithmetic_matches_scipy(monkeypatch, chunk):
             assert np.all(op.key[1:] > op.key[:-1]) and np.all(op.vals != 0)
 
 
-def test_bigint_product_matches_scipy(monkeypatch):
-    # signed permutation matrices with entries up to 2^31: the bound 2^62 is
-    # not certified, yet every true entry fits int64, so scipy is exact
-    calls = []
-
-    def counted(a_entries, b_entries):
-        calls.append(1)
-        return _matmul_bigint(a_entries, b_entries)
-
-    monkeypatch.setattr(fock, "_matmul_bigint", counted)
+def test_uncertified_product_raises_though_entries_fit():
+    # signed permutation matrices with entries up to 2^31: every true entry
+    # fits int64, but the bound 16 * 2^31 * 2^31 is not certified, so the
+    # product raises rather than trusting int64
     rng = random.Random(41)
     w = SiteWindow(0, 3)
     for _ in range(10):
@@ -423,8 +432,11 @@ def test_bigint_product_matches_scipy(monkeypatch):
             entries[(perm[0], 0)] = 1 << 31
             ops.append(IntegerSparseOperator.from_entries(w, entries))
         a, b = ops
-        assert _same(a @ b, csr(a) @ csr(b))
-    assert len(calls) == 10
+        with pytest.raises(OverflowError):
+            a @ b
+        # scaled down below the bound, the product agrees with scipy
+        small = [IntegerSparseOperator(w, op.key, op.vals >> 3) for op in ops]
+        assert _same(small[0] @ small[1], csr(small[0]) @ csr(small[1]))
 
 
 def test_packed_keys_refuse_oversized_windows():
@@ -461,32 +473,27 @@ def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
     assert fock._products(a, []) == [] and fock._products_right([], a) == []
 
 
-def test_batched_products_fall_back_item_by_item(monkeypatch):
-    # one item with entries of 2^31 fails the batch's int64 bound, so every
-    # item takes the big-integer path, with the same results
-    calls = []
-
-    def counted(a_entries, b_entries):
-        calls.append(1)
-        return _matmul_bigint(a_entries, b_entries)
-
-    monkeypatch.setattr(fock, "_matmul_bigint", counted)
+def test_batched_products_raise_when_bound_uncertifiable():
+    # one item with entries of 2^31 fails the batch's int64 bound, so the
+    # whole batch raises, from either side
     rng = random.Random(47)
     w = SiteWindow(0, 2)
     a = IntegerSparseOperator.diagonal(w, [1 << 31] * w.dimension)
     bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(4)]
-    bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
     left, right = fock._products(a, bs), fock._products_right(bs, a)
-    assert len(calls) == 2 * len(bs)
     for b, ab, ba in zip(bs, left, right):
         assert _same(ab, csr(a) @ csr(b)) and _same(ba, csr(b) @ csr(a))
-    assert left[2].entries() == {(i, i): -(1 << 62) for i in range(w.dimension)}
+    bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
+    with pytest.raises(OverflowError):
+        fock._products(a, bs)
+    with pytest.raises(OverflowError):
+        fock._products_right(bs, a)
 
 
 def test_batched_products_refuse_window_mismatch():
     w, other = SiteWindow(0, 2), SiteWindow(1, 3)
-    a = IntegerSparseOperator.identity(w)
-    bs = [IntegerSparseOperator.identity(w), IntegerSparseOperator.identity(other)]
+    a = _eye(w)
+    bs = [_eye(w), _eye(other)]
     with pytest.raises(ValueError):
         fock._products(a, bs)
     with pytest.raises(ValueError):

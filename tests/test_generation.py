@@ -23,7 +23,7 @@ from nicolai.model import Interval
 
 
 def _const(k, l, sign):
-    return ConservationSequence.constant(k, l, sign)
+    return ConservationSequence(k, l, (sign,) * (2 * (l - k) + 1))
 
 
 def _word(start, k, l, steps, target_text):

@@ -10,6 +10,7 @@ from nicolai.fixtures import load_fixture
 from nicolai.fock import FockVector, OccupationConfig, SiteWindow
 from nicolai.ground import (
     charge_action_on_config,
+    TRANSFER_MATRIX,
     count_transfer,
     enumerate_upsilon_hat,
     extend_to_interval,
@@ -24,6 +25,10 @@ from oracles import cross_oracle_suite
 
 def _cfg(lo, hi, text):
     return OccupationConfig.from_string(SiteWindow(lo, hi), text)
+
+
+def _const(k, l, sign):
+    return ConservationSequence(k, l, (sign,) * (2 * (l - k) + 1))
 
 
 def _vec(k, l, text):
@@ -86,6 +91,16 @@ def test_transfer_counts():
         count_transfer(0)
 
 
+def test_transfer_matrix_is_the_forbidden_triplet_rule():
+    # pair states 00, 01, 10, 11; (a, b) -> (c, d) unless (a, b, c) alternates
+    assert TRANSFER_MATRIX == (
+        (1, 1, 1, 1),
+        (0, 0, 1, 1),
+        (1, 1, 0, 0),
+        (1, 1, 1, 1),
+    )
+
+
 def test_counting_methods_agree():
     for n in range(1, 11):
         assert len(enumerate_upsilon_hat(0, n)) == count_transfer(n)
@@ -145,7 +160,7 @@ def test_entangled_zero_mode_stays_close_edge():
 # -- config-level charge action ----------------------------------------------
 
 def test_charge_action_examples():
-    r_plus = ConservationSequence.constant(0, 1, 1)
+    r_plus = _const(0, 1, 1)
     out = charge_action_on_config(r_plus, _cfg(0, 2, "000"))
     assert out == (_cfg(0, 2, "111"), 1)
     assert charge_action_on_config(r_plus, _cfg(0, 2, "100")) is None
@@ -153,12 +168,12 @@ def test_charge_action_examples():
     out = charge_action_on_config(r_plus, _cfg(0, 2, "111"), use_adjoint=True)
     assert out[0] == _cfg(0, 2, "000")
     with pytest.raises(ValueError):
-        charge_action_on_config(ConservationSequence.constant(0, 2, 1), _cfg(0, 2, "000"))
+        charge_action_on_config(_const(0, 2, 1), _cfg(0, 2, "000"))
 
 
 def test_charge_action_sign_convention():
     # acting inside a larger window picks up the left-occupation signs
-    f = ConservationSequence.constant(1, 2, 1)
+    f = _const(1, 2, 1)
     g = _cfg(0, 4, "10000")
     out, sign = charge_action_on_config(f, g)
     assert out == _cfg(0, 4, "10111")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nicolai.fock import (
+    FermionMonomial,
     IntegerSparseOperator,
     SiteWindow,
     anticommutator,
@@ -40,11 +41,10 @@ def test_supercharge_term_form():
     q0 = supercharge_term(0)
     assert q0.factors == ((1, False), (0, True), (-1, False))
     # increasing-order form carries the reordering sign
-    doc = q0.to_json()
-    assert doc["coefficient"] == -1
-    assert [(f["site"], f["dagger"]) for f in doc["factors"]] == [
-        (-1, False), (0, True), (1, False)
-    ]
+    w = SiteWindow(-1, 1)
+    increasing = FermionMonomial.increasing([(-1, False), (0, True), (1, False)], -1)
+    assert build_matrix(q0, w) == build_matrix(increasing, w)
+    assert build_matrix(q0, w) != build_matrix(FermionMonomial(1, increasing.factors), w)
     # adjoint is the increasing-order product c*_{2i-1} c_{2i} c*_{2i+1}
     assert q0.adjoint().factors == ((-1, True), (0, False), (1, True))
 
@@ -95,6 +95,18 @@ def test_susy_algebra_identities(k, l, mode):
     assert commutator(m.H, number).is_zero()
 
 
+@pytest.mark.parametrize(
+    "mode,n", [("open", n) for n in range(1, 9)] + [("closed", n) for n in range(2, 9)]
+)
+def test_hamiltonian_entries_are_small(mode, n):
+    # |Q| = 1 and |H| = n + 1 (open) or n - 1 (closed): every product a command
+    # makes certifies its int64 bound with a wide margin, even on 31 sites
+    m = build_supercharge((0, n), mode)
+    assert m.Q.entry_bound() == 1
+    assert m.H.entry_bound() == (n + 1 if mode == "open" else n - 1)
+    assert m.window.dimension * m.H.entry_bound() ** 2 < 1 << 40
+
+
 def test_graded_commutator_on_supercharge():
     m = build_supercharge((0, 2), "open")
     assert graded_commutator(m.Q, m.Q, "odd", "odd").is_zero()  # 2 Q^2
@@ -143,7 +155,8 @@ def test_density_encoding_is_rigid():
     )
     terms = hamiltonian_density(i) + diagonal_density(i + 1)
     assert lhs == build_matrix(terms, window)
-    tampered = [t.scaled(-1) if t.coefficient < 0 else t for t in terms]
+    tampered = [FermionMonomial(-t.coefficient, t.factors) if t.coefficient < 0 else t
+                for t in terms]
     assert lhs != build_matrix(tampered, window)
     # the cross hopping term enters with coefficient +1
     hop = hamiltonian_density(i)[0]
