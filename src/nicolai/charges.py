@@ -117,6 +117,21 @@ def _words(size: int) -> np.ndarray:
     return words
 
 
+def _admissible(words: np.ndarray, size: int) -> np.ndarray:
+    """Which packed words are admissible words of odd ``size >= 3`` (see ``_levels``).
+
+    Bits above ``size`` are ignored.  Bit ``p`` of ``d = w ^ (w >> 1)`` is set
+    where letters ``p`` and ``p + 1`` differ, so the edge pairs are constant
+    when bits ``0`` and ``size - 2`` of ``d`` are clear, and the triplet
+    centred at an even offset ``p`` alternates exactly when bits ``p - 1``
+    and ``p`` are both set: the forbidden-triplet rule of ``_alternates``.
+    """
+    d = words ^ (words >> 1)
+    edges = 1 | 1 << (size - 2)
+    centres = sum(1 << (p - 1) for p in range(2, size - 1, 2))
+    return ((d & edges) == 0) & ((d & (d >> 1) & centres) == 0)
+
+
 def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
     """The lexicographically first admissible word agreeing with ``pinned``, or None.
 
@@ -136,12 +151,6 @@ def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
 def _unpack(words: np.ndarray, size: int) -> np.ndarray:
     """The letters of packed words, one row per word."""
     return (words[:, None] >> np.arange(size)) & 1
-
-
-def _spell(words: np.ndarray, size: int, letters: str) -> List[str]:
-    """The ``size``-letter strings of packed words, ``letters[b]`` for bit ``b``."""
-    table = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-    return table[_unpack(words, size)].view(f"S{size}").ravel().astype(f"U{size}").tolist()
 
 
 def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
@@ -231,16 +240,20 @@ def charge_monomial(f: ConservationSequence) -> FermionMonomial:
     return FermionMonomial.increasing(factors)
 
 
-def _charge_matrices(sequences: Sequence[ConservationSequence], window: SiteWindow, problem: str):
-    """The charge matrix of every sequence; ``problem`` is raised when the
-    window misses a sequence interval."""
+def _charge_matrices(sequences: Sequence[ConservationSequence], window: SiteWindow):
+    """The charge matrix of every sequence on ``window``, which must contain
+    every sequence interval."""
     for f in sequences:
         if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
-            raise ValueError(problem)
+            raise ValueError("window does not contain the sequence interval")
     return [build_matrix(charge_monomial(f), window) for f in sequences]
 
 
-def verify_annihilation(sequences: Sequence[ConservationSequence], window: SiteWindow) -> bool:
+def verify_annihilation(
+    sequences: Sequence[ConservationSequence],
+    window: SiteWindow,
+    charges: Optional[List[IntegerSparseOperator]] = None,
+) -> bool:
     """Exactly check that every charge kills every local supercharge term.
 
     For every triplet center whose triplet fits inside ``window`` and touches
@@ -252,8 +265,10 @@ def verify_annihilation(sequences: Sequence[ConservationSequence], window: SiteW
     The charges are grouped by center, and each center takes two products with
     all its charges and their transposes at once: ``q(i) Q(f)``, ``q*(i) Q(f)``
     and the transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
+    ``charges`` are the sequences' matrices on ``window``, when already built.
     """
-    charges = _charge_matrices(sequences, window, "window does not contain the sequence interval")
+    if charges is None:
+        charges = _charge_matrices(sequences, window)
     by_center: Dict[int, list] = {}
     for f, charge in zip(sequences, charges):
         both = (charge, charge.transpose())
@@ -275,17 +290,21 @@ def _balanced(x: IntegerSparseOperator, charges: list, sign: int) -> bool:
     return all(l == r.scaled(sign) for l, r in zip(left, right))
 
 
-def verify_commutation(sequences: Sequence[ConservationSequence], m: ModelOperators) -> bool:
+def verify_commutation(
+    sequences: Sequence[ConservationSequence],
+    m: ModelOperators,
+    charges: Optional[List[IntegerSparseOperator]] = None,
+) -> bool:
     """Exactly check the conservation law of every charge against a
     finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
     of the charge with both supercharges; each of the four identities takes
-    two products with all the charges at once.
+    two products with all the charges at once.  ``charges`` are the
+    sequences' matrices on the model window, when already built.
     """
-    charges = _charge_matrices(
-        sequences, m.window, "sequence interval not inside the model window"
-    )
+    if charges is None:
+        charges = _charge_matrices(sequences, m.window)
     return (
         _balanced(m.Q, charges, -1)
         and _balanced(m.Qdag, charges, -1)

@@ -19,7 +19,9 @@ import sys
 import time
 from typing import Optional
 
-from .charges import _spell, _words
+import numpy as np
+
+from .charges import _unpack, _words
 from .fock import FockVector, OccupationConfig
 from .ground import (
     GenerationError,
@@ -67,11 +69,40 @@ class _Parser(argparse.ArgumentParser):
         raise _CommandFailure(_EXIT_USAGE, f"{self.prog}: {message}")
 
 
+class _JSONText:
+    """A payload value given as JSON text, which ``_emit`` writes as is."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_SPLICE = "\0"  # argv strings cannot hold NUL, so its JSON form marks one splice
+
+
+def _dumps(doc: dict) -> str:
+    """Compact sorted-key JSON of ``doc``, with every ``_JSONText`` spliced in."""
+    texts = []
+
+    def splice(value):
+        if not isinstance(value, _JSONText):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        texts.append(value.text)
+        return _SPLICE
+
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice)
+    for piece in texts:
+        text = text.replace(json.dumps(_SPLICE), piece, 1)
+    return text
+
+
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
     """Write the result document to ``--output`` or stdout; an ``OSError``
-    propagates to ``main``'s failure handling."""
+    propagates to ``main``'s failure handling.  ``csv_rows`` are rows, or the
+    CSV text itself."""
     elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv" and isinstance(csv_rows, str):
+        text = csv_rows
+    elif args.format == "csv" and csv_rows is not None:
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
         doc = {
@@ -81,7 +112,7 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
             "status": "ok",
             "elapsed_ms": elapsed_ms,
         }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _dumps(doc) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -100,7 +131,7 @@ def _emit_failure(
         "status": "failure",
         "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
     return code
 
 
@@ -129,18 +160,35 @@ def _admissible_words(n: int):
     return _words(2 * n + 1)
 
 
+def _spell(words: np.ndarray, size: int, letters: str, head: str, tail: str, sep: str) -> str:
+    """Each packed word as ``head``, its ``size`` letters (``letters[b]`` for
+    bit ``b``), then ``tail``; the records joined by ``sep``.
+
+    Every record has the same width, so one template row, broadcast over all
+    words and overwritten with the letters, is the whole text."""
+    template = np.frombuffer((head + " " * size + tail + sep).encode("ascii"), dtype=np.uint8)
+    records = np.tile(template, (words.size, 1))
+    table = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
+    records[:, len(head) : len(head) + size] = table[_unpack(words, size)]
+    return records.tobytes()[: records.size - len(sep)].decode("ascii")
+
+
 def _cmd_enumerate(args) -> tuple:
-    n = args.n
+    """Items are encoded straight from the packed words: a configuration as
+    its 0/1 string, a sequence as ``{"k":0,"l":n,"values":...}`` with ``-``/``+``
+    letters, exactly as ``json.dumps`` with sorted keys writes them."""
+    n, size = args.n, 2 * args.n + 1
     words = _admissible_words(n)
     if args.kind == "ground-configs":
-        items = _spell(words, 2 * n + 1, "01")
-        rows = [("config",)] + [(s,) for s in items]
+        letters, header, csv_head, head, tail = "01", "config", "", '"', '"'
     else:
-        values = _spell(words, 2 * n + 1, "-+")
-        items = [{"k": 0, "l": n, "values": v} for v in values]
-        rows = [("k", "l", "values")] + [(0, n, v) for v in values]
-    payload = {"k": 0, "l": n, "kind": args.kind, "count": len(items), "items": items}
-    return payload, rows
+        letters, header, csv_head = "-+", "k,l,values", f"0,{n},"
+        head, tail = f'{{"k":0,"l":{n},"values":"', '"}'
+    payload = {"k": 0, "l": n, "kind": args.kind, "count": words.size}
+    if args.format == "csv":
+        return payload, header + "\n" + _spell(words, size, letters, csv_head, "", "\n") + "\n"
+    payload["items"] = _JSONText("[" + _spell(words, size, letters, head, tail, ",") + "]")
+    return payload, None
 
 
 def _cmd_count(args) -> tuple:

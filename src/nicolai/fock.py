@@ -264,7 +264,7 @@ class IntegerSparseOperator:
         key, vals = np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
         bound = _bound(vals)
         if bound >= _INT64_SAFE or (
-            bound * vals.size >= _INT64_SAFE and np.unique(key).size < key.size
+            bound * vals.size >= _INT64_SAFE and not np.diff(np.sort(key)).all()
         ):
             raise OverflowError("operator entries exceed the certified int64 range")
         self.window = window
@@ -533,7 +533,8 @@ def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndar
         col_starts = np.flatnonzero(np.diff(b_cols, prepend=-1))
         marks = np.arange(_CHUNK, total, _CHUNK)
         cuts = col_starts[np.searchsorted(ahead[col_starts], marks, side="right") - 1]
-        edges = [0, *np.unique(cuts[cuts > 0]).tolist(), b_cols.size]
+        cuts = cuts[cuts > 0]  # ascending, as the marks are
+        edges = [0, *cuts[np.diff(cuts, prepend=0) > 0].tolist(), b_cols.size]
     a_rows = a.rows
     for s, e in zip(edges, edges[1:]):
         n = counts[s:e]

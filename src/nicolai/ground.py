@@ -26,6 +26,7 @@ import numpy as np
 
 from .charges import (
     ConservationSequence,
+    _admissible,
     _alternates,
     _first_word,
     _words,
@@ -217,31 +218,51 @@ class GenerationWord:
 
     @classmethod
     def from_json(cls, payload: dict) -> "GenerationWord":
-        """Parse a serialized word; a malformed document raises ``ValueError``."""
+        """Parse a serialized word; a malformed document raises ``ValueError``.
+
+        Every field must have its exact JSON type: ``k`` and ``l`` integers
+        (not booleans), ``values``, ``target`` and ``start`` strings,
+        ``adjoint`` a boolean, ``steps`` a list and ``predicted_sign`` the
+        integer 1 or -1.
+        """
         if not isinstance(payload, dict):
             raise ValueError("a generation word must be a JSON object")
         try:
-            k, l = int(payload["k"]), int(payload["l"])
+            k, l = _field(payload, "k", int), _field(payload, "l", int)
             window = Interval(k, l).inner
-            steps = tuple(
-                (
-                    ConservationSequence.from_string(int(s["k"]), int(s["l"]), s["values"]),
-                    bool(s["adjoint"]),
+            steps = []
+            for s in _field(payload, "steps", list):
+                if not isinstance(s, dict):
+                    raise ValueError("each step of a generation word must be a JSON object")
+                f = ConservationSequence.from_string(
+                    _field(s, "k", int), _field(s, "l", int), _field(s, "values", str)
                 )
-                for s in payload["steps"]
-            )
+                steps.append((f, _field(s, "adjoint", bool)))
+            sign = _field(payload, "predicted_sign", int)
+            if sign not in (1, -1):
+                raise ValueError(f"predicted_sign must be 1 or -1, got {sign}")
             return cls(
-                start=payload["start"],
+                start=_field(payload, "start", str),
                 k=k,
                 l=l,
-                steps=steps,
-                target=OccupationConfig.from_string(window, payload["target"]),
-                predicted_sign=int(payload["predicted_sign"]),
+                steps=tuple(steps),
+                target=OccupationConfig.from_string(window, _field(payload, "target", str)),
+                predicted_sign=sign,
             )
         except KeyError as exc:
             raise ValueError(f"generation word lacks the key {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed generation word: {exc}") from None
+
+
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "list"}
+
+
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be a JSON value of exactly the type ``kind``
+    (``true`` is no integer)."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def _start_config(start: str, window: SiteWindow) -> OccupationConfig:
@@ -252,9 +273,17 @@ def _start_config(start: str, window: SiteWindow) -> OccupationConfig:
     raise ValueError(f"start must be 'fock' or 'occupied', got {start!r}")
 
 
-def _member(ascending: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Which ``values`` occur in the non-empty ascending array ``ascending``."""
-    return ascending[np.searchsorted(ascending, values).clip(max=ascending.size - 1)] == values
+def _seen(bitmap: np.ndarray, occs: np.ndarray) -> np.ndarray:
+    """Which configurations ``occs`` have their bit set in ``bitmap``."""
+    return ((bitmap[occs >> 3] >> (occs & 7)) & 1) == 1
+
+
+def _mark(bitmap: np.ndarray, occs: np.ndarray) -> None:
+    """Set the bits of the ascending distinct configurations ``occs``."""
+    byte = occs >> 3
+    starts = np.flatnonzero(np.diff(byte, prepend=-1))
+    bits = (1 << (occs & 7)).astype(np.uint8)
+    bitmap[byte[starts]] |= np.bitwise_or.reduceat(bits, starts)
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +296,9 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     (for the adjoint: the letters themselves), and then flips the footprint.
     Admissible words are closed under complement, so a node has a move on a
     footprint exactly when its bits there are admissible, and the plain and
-    adjoint moves both lead to ``node ^ footprint``: one ``searchsorted`` per
-    footprint tests the whole frontier.
+    adjoint moves both lead to ``node ^ footprint``: one bitwise ``_admissible``
+    test per footprint covers the whole frontier.  Reached configurations are
+    bits of one bitmap over the window's states.
 
     Returns the search tree: each reached configuration maps to its parent,
     the start to ``None``.  Ties break as a scan of the frontier in ascending
@@ -276,28 +306,34 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     smallest frontier node reaching the configuration, and ``_step`` takes the
     plain move when that node's lowest footprint bit is occupied.
     """
-    footprints = []
-    for m in range(1, l - k + 1):
-        words, mask = np.sort(_words(2 * m + 1)), (1 << (2 * m + 1)) - 1
-        footprints += [(2 * (lo - k), mask, words) for lo in range(k, l - m + 1)]
-    start_occ = _start_config(start, Interval(k, l).inner).occ
+    footprints = [  # (shift, size, the footprint's bits)
+        (2 * (lo - k), 2 * m + 1, ((1 << (2 * m + 1)) - 1) << 2 * (lo - k))
+        for m in range(1, l - k + 1)
+        for lo in range(k, l - m + 1)
+    ]
+    window = Interval(k, l).inner
+    start_occ = _start_config(start, window).occ
     tree: Dict[int, Optional[int]] = {start_occ: None}
-    reached = frontier = np.array([start_occ], dtype=np.int64)
+    reached = np.zeros((window.dimension + 7) // 8, dtype=np.uint8)
+    frontier = np.array([start_occ], dtype=np.int64)
+    _mark(reached, frontier)
     while frontier.size:
         dsts = []
-        for shift, mask, words in footprints:
-            dst = frontier[_member(words, (frontier >> shift) & mask)] ^ (mask << shift)
-            dsts.append(dst[~_member(reached, dst)])
-        fresh = np.unique(np.concatenate(dsts))
-        # a move is undone on its own footprint, so the parents of a fresh
-        # node are the frontier nodes it reaches back
+        for shift, size, flip in footprints:
+            dst = frontier[_admissible(frontier >> shift, size)] ^ flip
+            dsts.append(dst[~_seen(reached, dst)])
+        fresh = np.sort(np.concatenate(dsts))
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+        # A move is undone on its own footprint, so the parents of a fresh node
+        # are the frontier nodes it reaches back.  Those are the reached nodes
+        # it reaches: any earlier one would have put it in an earlier frontier.
         parent = np.full(fresh.size, np.iinfo(np.int64).max)
-        for shift, mask, words in footprints:
-            node = fresh ^ (mask << shift)
-            back = _member(words, (fresh >> shift) & mask) & _member(frontier, node)
+        for shift, size, flip in footprints:
+            node = fresh ^ flip
+            back = _admissible(fresh >> shift, size) & _seen(reached, node)
             np.minimum(parent, node, out=parent, where=back)
         tree.update(zip(fresh.tolist(), parent.tolist()))
-        reached = np.union1d(reached, fresh)
+        _mark(reached, fresh)
         frontier = fresh
     return tree
 

@@ -180,7 +180,7 @@ def _distinct_blocks(
     rows, cols = h.rows, h.cols
     entry_block = labels[rows]
     entry_size = np.where(wanted[entry_block], sizes[entry_block], 0)
-    for size in np.unique(sizes[wanted]).tolist():
+    for size in np.flatnonzero(np.bincount(sizes[wanted])).tolist():
         members = np.flatnonzero(wanted & (sizes == size))
         slot = np.empty(n_blocks, dtype=np.int64)
         slot[members] = np.arange(members.size)

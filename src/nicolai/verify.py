@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .charges import (
+    _charge_matrices,
     enumerate_sequences,
     enumerate_union,
     verify_annihilation,
@@ -125,7 +126,9 @@ def charges_suite(n: int) -> List[Check]:
     m = build_supercharge((0, n), "open")
     checks: List[Check] = []
     sequences = enumerate_union(0, n)
-    all_commute = verify_commutation(sequences, m)
+    # both checks take the same matrices, built once
+    charges = _charge_matrices(sequences, m.window)
+    all_commute = verify_commutation(sequences, m, charges)
     checks.append(
         Check(
             f"[H, Q(f)] = [H, Q(f)*] = 0 and {{Q, Q(f)}} = {{Qdag, Q(f)}} = 0 "
@@ -133,7 +136,7 @@ def charges_suite(n: int) -> List[Check]:
             all_commute,
         )
     )
-    all_vanish = verify_annihilation(sequences, m.window)
+    all_vanish = verify_annihilation(sequences, m.window, charges)
     checks.append(
         Check(
             f"Q(f) q(i) = q(i) Q(f) = Q(f) q*(i) = q*(i) Q(f) = 0 "

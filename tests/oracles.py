@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from nicolai.charges import charge_monomial, enumerate_union
+from nicolai.charges import _words, charge_monomial, enumerate_union
 from nicolai.fock import (
     FermionMonomial,
     FockVector,
@@ -23,9 +23,9 @@ from nicolai.fock import (
     number_operator,
     parity_operator,
 )
-from nicolai.ground import charge_action_on_config
+from nicolai.ground import _start_config, charge_action_on_config
 from nicolai.intrank import integer_rank, rows_from_csr
-from nicolai.model import ModelOperators, supercharge_term
+from nicolai.model import Interval, ModelOperators, supercharge_term
 from nicolai.verify import Check
 
 
@@ -179,3 +179,43 @@ def cross_oracle_suite(pairs: int = 500, seed: int = 0) -> List[Check]:
                 agree = False
                 break
     return [Check(f"charge action oracle agreement ({pairs} pairs, seed {seed})", agree)]
+
+
+# -- the generation search with sorted-word membership -------------------------
+
+
+def _member(ascending: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which ``values`` occur in the non-empty ascending array ``ascending``."""
+    return ascending[np.searchsorted(ascending, values).clip(max=ascending.size - 1)] == values
+
+
+def footprint_search_tree(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
+    """The search tree of ``ground._reachability``, found by the same
+    per-footprint breadth-first search with every membership test a
+    ``searchsorted``: a footprint's bits against the sorted admissible words of
+    its size, a move's image against the sorted reached set, and a fresh
+    node's neighbour against the sorted frontier.  Ties go to the smallest
+    parent.
+    """
+    footprints = []
+    for m in range(1, l - k + 1):
+        words, mask = np.sort(_words(2 * m + 1)), (1 << (2 * m + 1)) - 1
+        footprints += [(2 * (lo - k), mask, words) for lo in range(k, l - m + 1)]
+    start_occ = _start_config(start, Interval(k, l).inner).occ
+    tree: Dict[int, Optional[int]] = {start_occ: None}
+    reached = frontier = np.array([start_occ], dtype=np.int64)
+    while frontier.size:
+        dsts = []
+        for shift, mask, words in footprints:
+            dst = frontier[_member(words, (frontier >> shift) & mask)] ^ (mask << shift)
+            dsts.append(dst[~_member(reached, dst)])
+        fresh = np.unique(np.concatenate(dsts))
+        parent = np.full(fresh.size, np.iinfo(np.int64).max)
+        for shift, mask, words in footprints:
+            node = fresh ^ (mask << shift)
+            back = _member(words, (fresh >> shift) & mask) & _member(frontier, node)
+            np.minimum(parent, node, out=parent, where=back)
+        tree.update(zip(fresh.tolist(), parent.tolist()))
+        reached = np.union1d(reached, fresh)
+        frontier = fresh
+    return tree

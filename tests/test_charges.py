@@ -3,11 +3,13 @@
 import hashlib
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicolai.charges import (
     ConservationSequence,
+    _admissible,
     _alternates,
     _first_word,
     _words,
@@ -206,6 +208,14 @@ def _pinned_sizes(draw):
 def test_first_word_matches_depth_first_oracle(case):
     size, pinned = case
     assert _first_word(size, pinned) == next(_walk_oracle(size, pinned), None)
+
+
+@pytest.mark.parametrize("size", range(3, 18, 2))
+def test_admissible_is_membership_in_the_enumerated_words(size):
+    every = np.arange(1 << size, dtype=np.int64)
+    assert np.flatnonzero(_admissible(every, size)).tolist() == sorted(_words(size).tolist())
+    # bits above the word are ignored
+    assert np.array_equal(_admissible(every | (0b101 << size), size), _admissible(every, size))
 
 
 def test_first_word_without_completion():

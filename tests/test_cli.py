@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, round trips."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nicolai
+from nicolai.charges import enumerate_sequences
 from nicolai.cli import main
+from nicolai.ground import enumerate_upsilon_hat
 
 
 def _run(capsys, *argv):
@@ -411,6 +414,40 @@ def test_replay_malformed_word_is_usage_error(capsys, monkeypatch, text):
     assert doc["payload"]["code"] == "usage-error"
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("predicted_sign", 1.5, "predicted_sign must be a JSON integer"),
+    ("predicted_sign", 0, "predicted_sign must be 1 or -1"),
+    ("predicted_sign", True, "predicted_sign must be a JSON integer"),
+    ("k", 0.0, "k must be a JSON integer"),
+    ("l", True, "l must be a JSON integer"),
+    ("target", [0, 0, 0], "target must be a JSON string"),
+])
+def test_replay_rejects_loosely_typed_words(capsys, monkeypatch, field, value, problem):
+    word = {"start": "fock", "k": 0, "l": 1, "target": "000", "predicted_sign": 1, "steps": []}
+    word[field] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(word)))
+    code, doc = _run_json(capsys, "replay", "--word", "-")
+    assert code == 2 and doc["payload"]["code"] == "usage-error"
+    assert doc["payload"]["reason"].startswith(problem)
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("adjoint", "no", "adjoint must be a JSON boolean"),
+    ("adjoint", 0, "adjoint must be a JSON boolean"),
+    ("k", "0", "k must be a JSON integer"),
+    ("values", ["-", "-", "-"], "values must be a JSON string"),
+])
+def test_replay_rejects_loosely_typed_steps(capsys, monkeypatch, field, value, problem):
+    # the word is genuine, so only the loosely typed field can refuse it
+    code, doc = _run_json(capsys, "generate", "--n", "1", "--target", "111")
+    word = doc["payload"]
+    word["steps"][0][field] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(word)))
+    code, doc = _run_json(capsys, "replay", "--word", "-")
+    assert code == 2 and doc["payload"]["code"] == "usage-error"
+    assert doc["payload"]["reason"].startswith(problem)
+
+
 def test_payload_determinism(capsys):
     _, first = _run(capsys, "enumerate", "charges", "--n", "2")
     _, second = _run(capsys, "enumerate", "charges", "--n", "2")
@@ -465,6 +502,86 @@ def test_commands_import_no_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_import_no_numpy_ma(tmp_path):
+    # numpy's plain np.unique and np.union1d import numpy.ma on first use
+    src = str(Path(nicolai.__file__).resolve().parents[1])
+    word = str(tmp_path / "word.json")
+    script = (
+        "import contextlib, io, sys\n"
+        "from nicolai.cli import main\n"
+        "assert 'numpy.ma' not in sys.modules, 'after import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['spectrum', '--n', '3', '--edge', 'open']) == 0\n"
+        "    assert main(['spectrum', '--n', '3', '--edge', 'closed']) == 0\n"
+        f"    assert main(['--output', {word!r}, 'generate', '--n', '4',\n"
+        "                 '--target', '111000011', '--start', 'fock']) == 0\n"
+        "    assert main(['generate', '--n', '4', '--target', '000111100',\n"
+        "                 '--start', 'occupied']) == 0\n"
+        f"    assert main(['replay', '--word', {word!r}]) == 0\n"
+        "    assert main(['enumerate', 'charges', '--n', '4']) == 0\n"
+        "    assert main(['--format', 'csv', 'enumerate', 'ground-configs', '--n', '4']) == 0\n"
+        "    assert main(['count', '--n', '6']) == 0\n"
+        "    for suite in ('algebra', 'charges', 'classification'):\n"
+        "        assert main(['verify', suite, '--n', '2']) == 0\n"
+        "    assert main(['verify', 'fixtures']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'after main'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- enumerate output against a json.dumps reference --------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerate_reference(kind, n):
+    """The payload items and CSV rows of ``enumerate`` built from objects."""
+    if kind == "charges":
+        items = [{"k": 0, "l": n, "values": f.to_string()} for f in enumerate_sequences(0, n)]
+        rows = [("k", "l", "values")] + [(0, n, item["values"]) for item in items]
+    else:
+        items = [g.to_string() for g in enumerate_upsilon_hat(0, n)]
+        rows = [("config",)] + [(s,) for s in items]
+    return items, rows
+
+
+@pytest.mark.parametrize("kind", ["charges", "ground-configs"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerate_matches_a_json_dumps_reference(capsys, tmp_path, kind, n):
+    items, rows = _enumerate_reference(kind, n)
+    code, out = _run(capsys, "enumerate", kind, "--n", str(n))
+    assert code == 0
+    reference = {
+        "command": "enumerate",
+        "params": {"command": "enumerate", "kind": kind, "n": n, "seed": 0},
+        "payload": {"k": 0, "l": n, "kind": kind, "count": len(items), "items": items},
+        "status": "ok",
+        "elapsed_ms": json.loads(out)["elapsed_ms"],
+    }
+    assert out == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+    written = tmp_path / "out.json"
+    code, out = _run(capsys, "--output", str(written), "enumerate", kind, "--n", str(n))
+    assert code == 0 and out == ""
+    text = written.read_text()
+    reference["elapsed_ms"] = json.loads(text)["elapsed_ms"]
+    assert text == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+    code, out = _run(capsys, "--format", "csv", "enumerate", kind, "--n", str(n))
+    assert code == 0
+    assert out == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["charges", "ground-configs"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_keeps_its_failure_documents(capsys, kind, fmt):
+    code, doc = _run_json(capsys, "--format", fmt, "enumerate", kind, "--n", "0")
+    assert code == 2 and doc["status"] == "failure"
+    assert doc["payload"] == {"code": "usage-error", "reason": "k < l required"}
+    code, doc = _run_json(capsys, "--format", fmt, "enumerate", kind, "--n", "13")
+    assert code == 3 and doc["status"] == "failure"
+    assert doc["payload"] == {"code": "resource-limit", "reason": "enumeration capped at n <= 12"}
 
 
 # -- bad command lines and fuzzed inputs --------------------------------------

@@ -340,6 +340,8 @@ def test_entries_at_the_int64_bound_are_refused():
     with pytest.raises(OverflowError):
         IntegerSparseOperator(w, [0, 0], [1 << 61, 1 << 61])
     assert IntegerSparseOperator(w, [0, 0], [1 << 60, 1 << 60]).entries() == {(0, 0): 1 << 61}
+    # distinct keys are never summed, however large their values
+    assert IntegerSparseOperator(w, [3, 0], [1 << 61, 1 << 61]).entry_bound() == 1 << 61
 
 
 def test_apply_matches_matmul_on_basis():

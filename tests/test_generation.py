@@ -20,6 +20,7 @@ from nicolai.ground import (
 )
 from nicolai.ground import _reachability, _start_config, _step_monomial, _word_steps
 from nicolai.model import Interval
+from oracles import footprint_search_tree
 
 
 def _const(k, l, sign):
@@ -357,6 +358,21 @@ def test_footprint_search_matches_the_per_move_oracle(k, l, start):
     for target in oracle:
         assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
     _oracle_reachability.cache_clear()
+    _reachability.cache_clear()
+
+
+SORTED_SEARCH_CASES = [
+    (k, l, start)
+    for k, l in [(0, n) for n in range(1, 10)] + [(-2, 1), (-3, 0), (1, 4), (-1, 5)]
+    for start in ("fock", "occupied")
+]
+
+
+@pytest.mark.parametrize("k,l,start", SORTED_SEARCH_CASES)
+def test_bitwise_search_matches_the_sorted_word_search(k, l, start):
+    # the bitwise move test and the reached-bitmap give the tree that
+    # searchsorted against sorted words, reached set and frontier gives
+    assert _reachability(k, l, start) == footprint_search_tree(k, l, start)
     _reachability.cache_clear()
 
 
