@@ -21,8 +21,10 @@ from .fock import (
     FermionMonomial,
     IntegerSparseOperator,
     SiteWindow,
-    _products,
-    _products_right,
+    _batches,
+    _product,
+    _stack,
+    _transpose_blocks,
     build_matrix,
 )
 from .model import ModelOperators, supercharge_term
@@ -91,34 +93,30 @@ def _levels(size: int, pinned: Optional[Mapping[int, int]] = None) -> List[Tuple
 
 
 def _words(size: int) -> np.ndarray:
-    """Every admissible word of odd ``size`` (see ``_levels``) as one int64 array.
+    """Every admissible word of odd ``size >= 3`` (see ``_levels``) as one
+    int64 array, in lexicographic order.
 
-    Expands the choice table one group at a time: each word so far gets the
-    (at most four) choices after its last letter as one row of a candidate
-    grid, and the grid's valid cells, read row by row, are the longer words,
-    still in lexicographic order.
+    After letter ``a`` at offset ``p - 1``, a pair ``(p, p + 1)`` takes the
+    three letter pairs whose triplet with ``a`` does not alternate; each word
+    so far grows into its three extensions, in order, from one of the two
+    constant left pairs, and the last letter repeats its neighbour.
     """
     if size > 62:
         raise ValueError(f"words of {size} letters do not fit in int64")
-    levels = _levels(size)
-    words = np.array([bits for bits, _ in levels[0][0]], dtype=np.int64)
-    lasts = np.array([last for _, last in levels[0][0]], dtype=np.intp)
-    for level in levels[1:]:
-        width = max(len(choices) for choices in level)
-        bits = np.zeros((2, width), dtype=np.int64)
-        last = np.zeros((2, width), dtype=np.intp)
-        valid = np.zeros((2, width), dtype=bool)
-        for a, choices in enumerate(level):
-            for i, (b, c) in enumerate(choices):
-                bits[a, i], last[a, i], valid[a, i] = b, c, True
-        keep = valid[lasts]
-        words = (words[:, None] | bits[lasts])[keep]
-        lasts = last[lasts][keep]
-    return words
+    pairs = list(product((0, 1), repeat=2))
+    choices = np.array(
+        [[b | c << 1 for b, c in pairs if not _alternates(a, b, c)] for a in (0, 1)],
+        dtype=np.int64,
+    )
+    words = np.array([0b00, 0b11], dtype=np.int64)
+    for p in range(2, size - 1, 2):
+        words = (words[:, None] | choices[(words >> (p - 1)) & 1] << p).ravel()
+    return words | ((words >> (size - 2)) & 1) << (size - 1)
 
 
 def _admissible(words: np.ndarray, size: int) -> np.ndarray:
-    """Which packed words are admissible words of odd ``size >= 3`` (see ``_levels``).
+    """Which packed words (an int64 array, or one int) are admissible words
+    of odd ``size >= 3`` (see ``_levels``).
 
     Bits above ``size`` are ignored.  Bit ``p`` of ``d = w ^ (w >> 1)`` is set
     where letters ``p`` and ``p + 1`` differ, so the edge pairs are constant
@@ -262,9 +260,10 @@ def verify_annihilation(
     the interval commute or anticommute with the charge but their products do
     not vanish, so they are outside the claim.)
 
-    The charges are grouped by center, and each center takes two products with
-    all its charges and their transposes at once: ``q(i) Q(f)``, ``q*(i) Q(f)``
-    and the transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
+    The charges are grouped by center, and each center takes two wide
+    products with all its charges and their transposes at once (see
+    ``fock._stack``): ``q(i) Q(f)``, ``q*(i) Q(f)`` and the transposes
+    ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
     ``charges`` are the sequences' matrices on ``window``, when already built.
     """
     if charges is None:
@@ -278,16 +277,17 @@ def verify_annihilation(
             by_center.setdefault(i, []).extend(both)
     for i, operands in sorted(by_center.items()):
         term = build_matrix(supercharge_term(i), window)
-        for q in (term, term.adjoint()):
-            if not all(p.is_zero() for p in _products(q, operands)):
-                return False
+        stacks = [_stack(window, group) for group in _batches(term, operands)]
+        if any(_product(q, *s)[0].size for q in (term, term.adjoint()) for s in stacks):
+            return False
     return True
 
 
-def _balanced(x: IntegerSparseOperator, charges: list, sign: int) -> bool:
-    """Whether ``x C == sign * C x`` for every ``C`` in ``charges``."""
-    left, right = _products(x, charges), _products_right(charges, x)
-    return all(l == r.scaled(sign) for l, r in zip(left, right))
+def _reflects(window: SiteWindow, x: tuple, y: tuple, sign: int) -> bool:
+    """Whether the wide matrix ``x`` is ``sign`` times the wide matrix ``y``
+    with every block transposed, both given as canonical ``(key, vals)``."""
+    key, vals = _transpose_blocks(window, *y)
+    return np.array_equal(x[0], key) and np.array_equal(x[1], sign * vals)
 
 
 def verify_commutation(
@@ -299,15 +299,28 @@ def verify_commutation(
     finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
-    of the charge with both supercharges; each of the four identities takes
-    two products with all the charges at once.  ``charges`` are the
-    sequences' matrices on the model window, when already built.
+    of the charge with both supercharges.  The charges are laid side by side
+    as one wide matrix ``S`` (see ``fock._stack``), and ``Sᵀ`` has every
+    block transposed.  With ``C x = (xᵀ Cᵀ)ᵀ``, ``Qᵀ = Q*`` and ``Hᵀ = H``,
+    six wide products decide all four identities, each by one comparison of
+    whole arrays, ``ᵀ`` transposing every block: ``Q S = -(Q* Sᵀ)ᵀ``,
+    ``Q* S = -(Q Sᵀ)ᵀ``, ``H S = (H Sᵀ)ᵀ`` and ``H Sᵀ = (H S)ᵀ``.
+    ``charges`` are the sequences' matrices on the model window, when
+    already built.
     """
     if charges is None:
         charges = _charge_matrices(sequences, m.window)
-    return (
-        _balanced(m.Q, charges, -1)
-        and _balanced(m.Qdag, charges, -1)
-        and _balanced(m.H, charges, 1)
-        and _balanced(m.H, [c.adjoint() for c in charges], 1)
-    )
+    w = m.window
+    for group in _batches(m.Q, charges):
+        s = _stack(w, group)
+        st = _transpose_blocks(w, *s)
+        q_s, qdag_s, h_s = (_product(x, *s) for x in (m.Q, m.Qdag, m.H))
+        q_st, qdag_st, h_st = (_product(x, *st) for x in (m.Q, m.Qdag, m.H))
+        if not (
+            _reflects(w, q_s, qdag_st, -1)
+            and _reflects(w, qdag_s, q_st, -1)
+            and _reflects(w, h_s, h_st, 1)
+            and _reflects(w, h_st, h_s, 1)
+        ):
+            return False
+    return True

@@ -274,7 +274,10 @@ def _cmd_replay(args) -> tuple:
     else:
         with open(args.word) as fh:
             raw = fh.read()
-    doc = json.loads(raw)
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise _CommandFailure(_EXIT_USAGE, "word JSON is nested too deeply")
     if isinstance(doc, dict) and "payload" in doc and "steps" not in doc:
         doc = doc["payload"]
     word = GenerationWord.from_json(doc)
@@ -364,8 +367,9 @@ def main(argv=None) -> int:
         return _emit_failure(args.command, params, failure.reason, failure.code, started)
     except GenerationError as exc:
         return _emit_failure(args.command, params, str(exc), _EXIT_FAILURE, started)
-    except OverflowError as exc:
-        return _emit_failure(args.command, params, str(exc), _EXIT_RESOURCE, started)
+    except (OverflowError, MemoryError) as exc:
+        reason = str(exc) or type(exc).__name__
+        return _emit_failure(args.command, params, reason, _EXIT_RESOURCE, started)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _emit_failure(args.command, params, str(exc), _EXIT_USAGE, started)
 

@@ -365,7 +365,9 @@ class IntegerSparseOperator:
     adjoint = transpose
 
     def __matmul__(self, other: "IntegerSparseOperator") -> "IntegerSparseOperator":
-        return _products(self, [other])[0]
+        self._check_window(other)
+        key, vals = _product(self, other.key, other.vals)
+        return IntegerSparseOperator._wrap(self.window, key, vals)
 
     def apply(self, v: FockVector) -> FockVector:
         """Exact matrix-vector product (big-integer arithmetic)."""
@@ -430,31 +432,17 @@ def _sum_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
         )
 
 
-def _products(a: IntegerSparseOperator, bs) -> list:
-    """``[a @ b for b in bs]``, from one product of ``a`` with the wide matrix
-    ``[b_0 | b_1 | ...]`` (see ``_stack``).
+def _product(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
+    """The canonical ``(key, vals)`` of ``a`` times the (possibly wide, see
+    ``_stack``) matrix with canonical ``(b_key, b_vals)``.
 
-    The int64 bound is certified once for the whole batch (see ``_certify``).
+    Raises ``OverflowError`` unless int64 holds every entry and partial sum:
+    an entry sums at most ``dim`` terms, so ``dim * |a| * max |b|`` must lie
+    below ``_INT64_SAFE``.
     """
-    out = []
-    for group in _batches(a, bs):
-        key, vals = _stack(a.window, group)
-        _certify(a, vals)
-        out += _unstack(a.window, len(group), *_assemble(_product_pieces(a, key, vals)))
-    return out
-
-
-def _products_right(bs, a: IntegerSparseOperator) -> list:
-    """``[b @ a for b in bs]``, as ``(aᵀ @ bᵀ)ᵀ``: the same wide product, with
-    every block transposed before and after it."""
-    window, at = a.window, a.transpose()
-    out = []
-    for group in _batches(a, bs):
-        key, vals = _transpose_blocks(window, *_stack(window, group))
-        _certify(at, vals)
-        key, vals = _assemble(_product_pieces(at, key, vals))
-        out += _unstack(window, len(group), *_transpose_blocks(window, key, vals))
-    return out
+    if a.window.dimension * a.entry_bound() * _bound(b_vals) >= _INT64_SAFE:
+        raise OverflowError("operator product exceeds the certified int64 range")
+    return _assemble(_product_pieces(a, b_key, b_vals))
 
 
 def _batches(a: IntegerSparseOperator, bs) -> list:
@@ -472,25 +460,10 @@ def _stack(window: SiteWindow, ops):
     Block ``t`` holds ``op_t``'s packed keys plus ``t << 2 * size``: its
     columns are ``t * dim`` on, and the blocks follow each other in key order.
     """
-    if len(ops) == 1:
-        return ops[0].key, ops[0].vals
     key = np.concatenate([op.key for op in ops])
     blocks = np.arange(len(ops), dtype=np.int64) << (2 * window.size)
     key |= np.repeat(blocks, [op.nnz for op in ops])
     return key, np.concatenate([op.vals for op in ops])
-
-
-def _unstack(window: SiteWindow, count: int, key: np.ndarray, vals: np.ndarray) -> list:
-    """The ``count`` operators whose wide matrix is ``(key, vals)``."""
-    if count == 1:
-        return [IntegerSparseOperator._wrap(window, key, vals)]
-    shift = 2 * window.size
-    edges = np.searchsorted(key, np.arange(count + 1, dtype=np.int64) << shift).tolist()
-    low = (1 << shift) - 1
-    return [
-        IntegerSparseOperator._wrap(window, key[s:e] & low, vals[s:e])
-        for s, e in zip(edges, edges[1:])
-    ]
 
 
 def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
@@ -498,14 +471,6 @@ def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
     size, mask = window.size, window.dimension - 1
     blocks = key >> (2 * size) << (2 * size)
     return _canonical(blocks | ((key & mask) << size) | ((key >> size) & mask), vals)
-
-
-def _certify(a: IntegerSparseOperator, vals: np.ndarray):
-    """Raise ``OverflowError`` unless int64 holds every entry and partial sum
-    of ``a`` times a (wide) matrix with values ``vals``: an entry sums at most
-    ``dim`` terms, so ``dim * |a| * max |b|`` must lie below ``_INT64_SAFE``."""
-    if a.window.dimension * a.entry_bound() * _bound(vals) >= _INT64_SAFE:
-        raise OverflowError("operator product exceeds the certified int64 range")
 
 
 def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):

@@ -429,7 +429,7 @@ def generate_word(
         target = OccupationConfig.from_string(window, target)
     if target.window != window:
         raise ValueError("target does not live on the interval window")
-    if _first_word(window.size, dict(enumerate(target.bits))) is None:
+    if not _admissible(target.occ, window.size):
         raise ValueError("target is not an open-boundary ground configuration")
     steps = _word_steps(k, l, start, target.occ)
     word = GenerationWord(start, k, l, steps, target, 1)

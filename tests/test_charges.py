@@ -410,10 +410,11 @@ def test_batched_checks_match_oracle_on_every_string(letters, k):
 
 
 def test_charges_suite_takes_few_products(monkeypatch):
-    # each identity is a few batched products over all sequences, not one
+    # the identities take a few wide products over all sequences, not one
     # product per sequence and center (about 2,900 at n = 4); every product
     # goes through the counted function
     from nicolai import fock
+    from nicolai.model import _build_supercharge_cached
     from nicolai.verify import charges_suite
 
     calls = []
@@ -426,5 +427,7 @@ def test_charges_suite_takes_few_products(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
+    _build_supercharge_cached.cache_clear()  # so H = {Q, Q*} is built and counted
     assert all(c.passed for c in charges_suite(4))
-    assert 0 < len(calls) <= 64
+    # 2 for H, 6 for the four commutation identities, 10 for annihilation
+    assert len(calls) == 18

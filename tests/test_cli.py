@@ -448,6 +448,23 @@ def test_replay_rejects_loosely_typed_steps(capsys, monkeypatch, field, value, p
     assert doc["payload"]["reason"].startswith(problem)
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_replay_deeply_nested_word_is_usage_error(capsys, monkeypatch, tmp_path, source):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    text = "[" * 200_000
+    if source == "file":
+        word_file = tmp_path / "nested.json"
+        word_file.write_text(text)
+        path = str(word_file)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    code, doc = _run_json(capsys, "replay", "--word", path)
+    assert code == 2 and doc["status"] == "failure" and doc["command"] == "replay"
+    assert doc["payload"] == {"code": "usage-error", "reason": "word JSON is nested too deeply"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_payload_determinism(capsys):
     _, first = _run(capsys, "enumerate", "charges", "--n", "2")
     _, second = _run(capsys, "enumerate", "charges", "--n", "2")
@@ -484,6 +501,25 @@ def test_overflow_is_resource_limit(capsys, monkeypatch):
         "code": "resource-limit",
         "reason": "operator sum exceeds the certified int64 range",
     }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, reason", [
+    ("Unable to allocate 256. GiB", "Unable to allocate 256. GiB"),
+    ("", "MemoryError"),
+])
+def test_failed_allocation_is_resource_limit(capsys, monkeypatch, message, reason):
+    # at n = 20 the search's bitmap over 2^41 states would take 256 GiB; the
+    # failed allocation is raised in its place, so nothing is allocated
+    def allocating(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("nicolai.ground._reachability", allocating)
+    argv = ["--max-dim", str(1 << 62), "generate", "--n", "20", "--target", "0" * 41]
+    code, out = _run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "failure" and doc["command"] == "generate"
+    assert doc["payload"] == {"code": "resource-limit", "reason": reason}
     assert "Traceback" not in capsys.readouterr().err
 
 

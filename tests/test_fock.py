@@ -454,6 +454,30 @@ def _canonical_form(op):
     return bool(np.all(op.key[1:] > op.key[:-1]) and np.all(op.vals != 0))
 
 
+def _blocks(w, count, key, vals):
+    """The ``count`` operators laid side by side in the wide matrix ``(key, vals)``,
+    after checking that the wide matrix is canonical."""
+    assert np.all(key[1:] > key[:-1]) and np.all(vals != 0)
+    block, low = key >> (2 * w.size), key & ((1 << (2 * w.size)) - 1)
+    return [IntegerSparseOperator(w, low[block == t], vals[block == t]) for t in range(count)]
+
+
+def _wide_products(a, bs):
+    """``[a @ b]`` and ``[b @ a]`` for every ``b`` in ``bs``, from one wide left
+    product each: the second as ``(aᵀ bᵀ)ᵀ``, block by block."""
+    w = a.window
+    stack = fock._stack(w, bs)
+    wide = fock._product(a.transpose(), *fock._transpose_blocks(w, *stack))
+    left = _blocks(w, len(bs), *fock._product(a, *stack))
+    return left, _blocks(w, len(bs), *fock._transpose_blocks(w, *wide))
+
+
+def _rand_stack(rng, w):
+    bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(rng.randint(0, 6))]
+    bs.insert(rng.randint(0, len(bs)), IntegerSparseOperator.zero(w))
+    return bs
+
+
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
     # chunk=3 splits the wide expansion inside and between the blocks
@@ -465,47 +489,59 @@ def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
         lo = rng.randint(-3, 3)
         w = SiteWindow(lo, lo + size - 1)
         a = IntegerSparseOperator.zero(w) if trial == 0 else build_matrix(_rand_sum(rng, w), w)
-        bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(rng.randint(0, 6))]
-        bs.insert(rng.randint(0, len(bs)), IntegerSparseOperator.zero(w))
-        left, right = fock._products(a, bs), fock._products_right(bs, a)
-        assert len(left) == len(right) == len(bs)
-        for b, ab, ba in zip(bs, left, right):
-            assert ab == a @ b and _same(ab, csr(a) @ csr(b)) and _canonical_form(ab)
-            assert ba == b @ a and _same(ba, csr(b) @ csr(a)) and _canonical_form(ba)
-    assert fock._products(a, []) == [] and fock._products_right([], a) == []
+        bs = _rand_stack(rng, w)
+        (group,) = fock._batches(a, bs)
+        for b, ab, ba in zip(bs, *_wide_products(a, group)):
+            assert ab == a @ b and _same(ab, csr(a) @ csr(b)) and _canonical_form(a @ b)
+            assert ba == b @ a and _same(ba, csr(b) @ csr(a)) and _canonical_form(b @ a)
+    assert fock._batches(a, []) == []
+
+
+def test_transpose_blocks_transposes_every_block():
+    rng = random.Random(53)
+    for _ in range(20):
+        size = rng.randint(1, 5)
+        w = SiteWindow(0, size - 1)
+        bs = _rand_stack(rng, w)
+        stack = fock._stack(w, bs)
+        flipped = fock._transpose_blocks(w, *stack)
+        for b, bt in zip(bs, _blocks(w, len(bs), *flipped)):
+            assert bt == b.transpose() and _same(bt, csr(b).T)
+        back = fock._transpose_blocks(w, *flipped)
+        assert np.array_equal(back[0], stack[0]) and np.array_equal(back[1], stack[1])
 
 
 def test_batched_products_raise_when_bound_uncertifiable():
-    # one item with entries of 2^31 fails the batch's int64 bound, so the
-    # whole batch raises, from either side
+    # one item with entries of 2^31 fails the stack's int64 bound, so the
+    # whole wide product raises, from either side
     rng = random.Random(47)
     w = SiteWindow(0, 2)
     a = IntegerSparseOperator.diagonal(w, [1 << 31] * w.dimension)
     bs = [build_matrix(_rand_sum(rng, w), w) for _ in range(4)]
-    left, right = fock._products(a, bs), fock._products_right(bs, a)
-    for b, ab, ba in zip(bs, left, right):
+    for b, ab, ba in zip(bs, *_wide_products(a, bs)):
         assert _same(ab, csr(a) @ csr(b)) and _same(ba, csr(b) @ csr(a))
     bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
+    stack = fock._stack(w, bs)
     with pytest.raises(OverflowError):
-        fock._products(a, bs)
+        fock._product(a, *stack)
     with pytest.raises(OverflowError):
-        fock._products_right(bs, a)
+        fock._product(a.transpose(), *fock._transpose_blocks(w, *stack))
 
 
 def test_batched_products_refuse_window_mismatch():
     w, other = SiteWindow(0, 2), SiteWindow(1, 3)
     a = _eye(w)
-    bs = [_eye(w), _eye(other)]
     with pytest.raises(ValueError):
-        fock._products(a, bs)
+        fock._batches(a, [_eye(w), _eye(other)])
     with pytest.raises(ValueError):
-        fock._products_right(bs, a)
+        a @ _eye(other)
 
 
 def test_batched_products_split_when_block_keys_would_overflow():
-    # a 31-site window leaves no key bits for a block index: one block per product
+    # a 31-site window leaves no key bits for a block index: one block per group
     w = SiteWindow(0, 30)
     zero = IntegerSparseOperator.zero(w)
-    products = fock._products(zero, [zero] * 3)
-    assert len(products) == 3 and all(p.is_zero() for p in products)
-    assert len(fock._products_right([zero] * 3, zero)) == 3
+    groups = fock._batches(zero, [zero] * 3)
+    assert [len(group) for group in groups] == [1, 1, 1]
+    for group in groups:
+        assert fock._product(zero, *fock._stack(w, group))[0].size == 0
