@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fock import (
     FermionMonomial,
-    IntegerSparseOperator,
     SiteWindow,
     _batches,
+    _build_stack,
     _product,
-    _stack,
+    _reflects,
     _transpose_blocks,
     build_matrix,
 )
@@ -238,19 +238,25 @@ def charge_monomial(f: ConservationSequence) -> FermionMonomial:
     return FermionMonomial.increasing(factors)
 
 
-def _charge_matrices(sequences: Sequence[ConservationSequence], window: SiteWindow):
-    """The charge matrix of every sequence on ``window``, which must contain
-    every sequence interval."""
+def _charge_stacks(sequences: Sequence[ConservationSequence], window: SiteWindow) -> list:
+    """The sequences' charge matrices on ``window``, which must contain every
+    sequence interval, laid side by side: one pair ``(S, Sᵀ)`` of canonical
+    wide ``(key, vals)`` per group of ``_batches(window, sequences)``, with
+    ``Sᵀ`` the same blocks transposed."""
     for f in sequences:
         if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
             raise ValueError("window does not contain the sequence interval")
-    return [build_matrix(charge_monomial(f), window) for f in sequences]
+    stacks = []
+    for group in _batches(window, sequences):
+        s = _build_stack([charge_monomial(f) for f in group], window)
+        stacks.append((s, _transpose_blocks(window, *s)))
+    return stacks
 
 
 def verify_annihilation(
     sequences: Sequence[ConservationSequence],
     window: SiteWindow,
-    charges: Optional[List[IntegerSparseOperator]] = None,
+    stacks: Optional[list] = None,
 ) -> bool:
     """Exactly check that every charge kills every local supercharge term.
 
@@ -260,60 +266,55 @@ def verify_annihilation(
     the interval commute or anticommute with the charge but their products do
     not vanish, so they are outside the claim.)
 
-    The charges are grouped by center, and each center takes two wide
-    products with all its charges and their transposes at once (see
-    ``fock._stack``): ``q(i) Q(f)``, ``q*(i) Q(f)`` and the transposes
+    The charges and their transposes are laid side by side as one wide
+    matrix ``W = [S | Sᵀ]``.  Each center selects the entries of the blocks
+    whose interval it meets and takes two wide products with them:
+    ``q(i) Q(f)``, ``q*(i) Q(f)`` and the transposes
     ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
-    ``charges`` are the sequences' matrices on ``window``, when already built.
+    ``stacks`` are ``_charge_stacks(sequences, window)``, when already built.
     """
-    if charges is None:
-        charges = _charge_matrices(sequences, window)
-    by_center: Dict[int, list] = {}
-    for f, charge in zip(sequences, charges):
-        both = (charge, charge.transpose())
-        lo_center = max((window.lo + 2) // 2, f.k)  # 2i-1 >= lo and triplet meets [2k..2l]
-        hi_center = min((window.hi - 1) // 2, f.l)  # 2i+1 <= hi
-        for i in range(lo_center, hi_center + 1):
-            by_center.setdefault(i, []).extend(both)
-    for i, operands in sorted(by_center.items()):
-        term = build_matrix(supercharge_term(i), window)
-        stacks = [_stack(window, group) for group in _batches(term, operands)]
-        if any(_product(q, *s)[0].size for q in (term, term.adjoint()) for s in stacks):
-            return False
+    if stacks is None:
+        stacks = _charge_stacks(sequences, window)
+    shift = 2 * window.size
+    for group, (s, st) in zip(_batches(window, sequences), stacks):
+        key = np.concatenate((s[0], st[0] + (len(group) << shift)))
+        vals = np.concatenate((s[1], st[1]))
+        # 2i-1 >= lo and the triplet meets [2k..2l]; 2i+1 <= hi
+        first = np.array([max((window.lo + 2) // 2, f.k) for f in group] * 2)
+        last = np.array([min((window.hi - 1) // 2, f.l) for f in group] * 2)
+        block = key >> shift
+        entry_first, entry_last = first[block], last[block]
+        for i in range(first.min(), last.max() + 1):
+            meets = (entry_first <= i) & (i <= entry_last)
+            if not meets.any():
+                continue
+            term, picked = build_matrix(supercharge_term(i), window), (key[meets], vals[meets])
+            if any(_product(q, *picked)[0].size for q in (term, term.adjoint())):
+                return False
     return True
-
-
-def _reflects(window: SiteWindow, x: tuple, y: tuple, sign: int) -> bool:
-    """Whether the wide matrix ``x`` is ``sign`` times the wide matrix ``y``
-    with every block transposed, both given as canonical ``(key, vals)``."""
-    key, vals = _transpose_blocks(window, *y)
-    return np.array_equal(x[0], key) and np.array_equal(x[1], sign * vals)
 
 
 def verify_commutation(
     sequences: Sequence[ConservationSequence],
     m: ModelOperators,
-    charges: Optional[List[IntegerSparseOperator]] = None,
+    stacks: Optional[list] = None,
 ) -> bool:
     """Exactly check the conservation law of every charge against a
     finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
     of the charge with both supercharges.  The charges are laid side by side
-    as one wide matrix ``S`` (see ``fock._stack``), and ``Sᵀ`` has every
+    as one wide matrix ``S`` (see ``fock._build_stack``), and ``Sᵀ`` has every
     block transposed.  With ``C x = (xᵀ Cᵀ)ᵀ``, ``Qᵀ = Q*`` and ``Hᵀ = H``,
     six wide products decide all four identities, each by one comparison of
     whole arrays, ``ᵀ`` transposing every block: ``Q S = -(Q* Sᵀ)ᵀ``,
     ``Q* S = -(Q Sᵀ)ᵀ``, ``H S = (H Sᵀ)ᵀ`` and ``H Sᵀ = (H S)ᵀ``.
-    ``charges`` are the sequences' matrices on the model window, when
-    already built.
+    ``stacks`` are ``_charge_stacks(sequences, m.window)``, when already built.
     """
-    if charges is None:
-        charges = _charge_matrices(sequences, m.window)
+    if stacks is None:
+        stacks = _charge_stacks(sequences, m.window)
     w = m.window
-    for group in _batches(m.Q, charges):
-        s = _stack(w, group)
-        st = _transpose_blocks(w, *s)
+    for s, st in stacks:
         q_s, qdag_s, h_s = (_product(x, *s) for x in (m.Q, m.Qdag, m.H))
         q_st, qdag_st, h_st = (_product(x, *st) for x in (m.Q, m.Qdag, m.H))
         if not (

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .kernels import monomial_action
+from .kernels import closed_form
 
 __all__ = [
     "SiteWindow",
@@ -434,7 +434,7 @@ def _sum_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
 
 def _product(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
     """The canonical ``(key, vals)`` of ``a`` times the (possibly wide, see
-    ``_stack``) matrix with canonical ``(b_key, b_vals)``.
+    ``_build_stack``) matrix with canonical ``(b_key, b_vals)``.
 
     Raises ``OverflowError`` unless int64 holds every entry and partial sum:
     an entry sums at most ``dim`` terms, so ``dim * |a| * max |b|`` must lie
@@ -445,25 +445,20 @@ def _product(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
     return _assemble(_product_pieces(a, b_key, b_vals))
 
 
-def _batches(a: IntegerSparseOperator, bs) -> list:
-    """``bs``, checked to share ``a``'s window, in groups small enough that
-    a block index fits above the packed keys in int64."""
-    for b in bs:
-        a._check_window(b)
-    per = 1 << (62 - 2 * a.window.size)
-    return [bs[i : i + per] for i in range(0, len(bs), per)]
+def _batches(window: SiteWindow, items) -> list:
+    """``items`` in groups small enough that the stack of a group, laid beside
+    its transpose, keeps a block index above the packed keys in int64: two
+    blocks per item."""
+    per = _max_blocks(window) // 2
+    if per < 1:
+        raise OverflowError(f"a window of {window.size} sites leaves no room for two blocks")
+    return [items[i : i + per] for i in range(0, len(items), per)]
 
 
-def _stack(window: SiteWindow, ops):
-    """The wide matrix ``[op_0 | op_1 | ...]`` as one canonical ``(key, vals)``.
-
-    Block ``t`` holds ``op_t``'s packed keys plus ``t << 2 * size``: its
-    columns are ``t * dim`` on, and the blocks follow each other in key order.
-    """
-    key = np.concatenate([op.key for op in ops])
-    blocks = np.arange(len(ops), dtype=np.int64) << (2 * window.size)
-    key |= np.repeat(blocks, [op.nnz for op in ops])
-    return key, np.concatenate([op.vals for op in ops])
+def _max_blocks(window: SiteWindow) -> int:
+    """How many blocks a wide matrix on ``window`` holds: block ``t`` adds
+    ``t << 2 * size`` to its packed keys, which must stay below ``2**62``."""
+    return 1 << (62 - 2 * window.size)
 
 
 def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
@@ -471,6 +466,13 @@ def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
     size, mask = window.size, window.dimension - 1
     blocks = key >> (2 * size) << (2 * size)
     return _canonical(blocks | ((key & mask) << size) | ((key >> size) & mask), vals)
+
+
+def _reflects(window: SiteWindow, x: tuple, y: tuple, sign: int) -> bool:
+    """Whether the wide matrix ``x`` is ``sign`` times the wide matrix ``y``
+    with every block transposed, both given as canonical ``(key, vals)``."""
+    key, vals = _transpose_blocks(window, *y)
+    return np.array_equal(x[0], key) and np.array_equal(x[1], sign * vals)
 
 
 def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
@@ -512,29 +514,95 @@ def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndar
         )
 
 
+def _free_states(free: int) -> np.ndarray:
+    """Every integer whose set bits all lie in the mask ``free``, ascending.
+
+    Each run of adjacent free bits lies above the runs before it, so taking
+    its values as the high part keeps the order.
+    """
+    states = np.zeros(1, dtype=np.int64)
+    while free:
+        low = (free & -free).bit_length() - 1
+        run = ((free >> low) + 1 & ~(free >> low)).bit_length() - 1
+        states = ((np.arange(1 << run, dtype=np.int64) << low)[:, None] | states).ravel()
+        free &= ~(((1 << run) - 1) << low)
+    return states
+
+
+def _closed_form_entries(monomials, window: SiteWindow):
+    """The entries of each monomial's matrix on ``window``, block after block,
+    as ``(key, vals, counts)``: packed keys ``col * dim + row``, ascending
+    inside each block, and the number of entries of each block.
+
+    By its ``kernels.closed_form``, a monomial keeps exactly the columns whose
+    support bits equal ``required``: ``required`` plus every value of the free
+    bits, which ``_free_states`` lists in ascending order.  Each column has one
+    entry, so a block costs its nonzeros, never the whole window.  Zero
+    products and zero coefficients give empty blocks.
+    """
+    size = window.size
+    if size > _MAX_SIZE:
+        raise ValueError(f"window of {size} sites is too large for packed keys")
+    if any(abs(m.coefficient) >= _INT64_SAFE for m in monomials):
+        raise OverflowError("operator coefficients exceed the certified int64 range")
+    frees: dict = {}
+    counts, columns, forms = [], [], []
+    for m in monomials:
+        form = None
+        if m.coefficient:
+            form = closed_form([(window.bit(s), d) for s, d in reversed(m.factors)])
+        if form is None:
+            counts.append(0)
+            continue
+        support, required, flip, const, parity = form
+        free = (window.dimension - 1) & ~support
+        if free not in frees:
+            frees[free] = _free_states(free)
+        columns.append(frees[free])
+        counts.append(columns[-1].size)
+        forms.append((required, flip, parity, const * m.coefficient))
+    if not forms:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, counts
+    live = [c for c in counts if c]
+    required, flip, parity, scale = (np.repeat(x, live) for x in np.array(forms).T)
+    cols = np.concatenate(columns) | required
+    odd = (np.bitwise_count(cols & parity) & 1).astype(np.int64)
+    return cols << size | cols ^ flip, scale * (1 - 2 * odd), counts
+
+
+def _build_stack(monomials, window: SiteWindow):
+    """The wide matrix ``[m_0 | m_1 | ...]`` of the monomials' matrices on
+    ``window``, as one canonical ``(key, vals)``.
+
+    Block ``t`` holds ``m_t``'s packed keys plus ``t << 2 * size``: its columns
+    are ``t * dim`` on, and the blocks follow each other in key order.  Each
+    block comes out of its closed form already sorted, so nothing is sorted.
+    More blocks than ``_max_blocks`` raise ``OverflowError`` (``_batches``
+    splits long lists), as does a coefficient that is not certified.
+    """
+    if len(monomials) > _max_blocks(window):
+        raise OverflowError(f"{len(monomials)} blocks do not fit a window of {window.size} sites")
+    key, vals, counts = _closed_form_entries(monomials, window)
+    blocks = np.arange(len(monomials), dtype=np.int64) << (2 * window.size)
+    return key | np.repeat(blocks, counts), vals
+
+
 def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
     """Exact matrix of a monomial, or of the sum of an iterable of monomials,
     on a window.
 
-    Column ``j`` holds the image of basis configuration ``j``; each term's
-    column images come from :func:`nicolai.kernels.monomial_action`.
+    Column ``j`` holds the image of basis configuration ``j``.  A monomial's
+    matrix is its one block of ``_closed_form_entries``, already canonical; a
+    sum folds the terms' blocks into one matrix.
     """
     terms = (op,) if isinstance(op, FermionMonomial) else tuple(op)
-    keys, vals = [], []
-    coeff_total = sum(abs(t.coefficient) for t in terms)
-    if coeff_total >= _INT64_SAFE:
+    if sum(abs(t.coefficient) for t in terms) >= _INT64_SAFE:
         raise OverflowError("operator coefficients exceed the certified int64 range")
-    for term in terms:
-        if term.coefficient == 0:
-            continue
-        application_order = [(window.bit(s), d) for s, d in reversed(term.factors)]
-        targets, signs = monomial_action(window.size, application_order)
-        cols = np.flatnonzero(targets >= 0)
-        keys.append((cols << window.size) | targets[cols])
-        vals.append(signs[cols] * np.int64(term.coefficient))
-    if not keys:
-        return IntegerSparseOperator.zero(window)
-    return IntegerSparseOperator(window, np.concatenate(keys), np.concatenate(vals))
+    key, vals, _ = _closed_form_entries(terms, window)
+    if len(terms) == 1:
+        return IntegerSparseOperator._wrap(window, key, vals)
+    return IntegerSparseOperator(window, key, vals)
 
 
 def commutator(a: IntegerSparseOperator, b: IntegerSparseOperator) -> IntegerSparseOperator:

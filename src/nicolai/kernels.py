@@ -1,13 +1,14 @@
-"""Hot kernels for ladder-monomial action on every basis state of a window.
+"""Ladder-monomial action on the basis states of a window.
 
 A basis state of a ``w``-site window is a ``w``-bit integer (bit ``p`` is the
 occupation of the ``p``-th site counted from the low edge).  Acting with an
 ordered product of creation/annihilation operators either kills the state or
 maps it to exactly one other basis state with a Jordan-Wigner sign
 ``(-1)**(occupied bits below the hit bit)``.  ``closed_form`` reduces the
-product to a few bit masks once; ``monomial_action`` applies them to *all*
-``2**w`` basis states at once, and is the inner loop of every matrix build in
-this package.
+product to a few bit masks once; every operator build in this package reads
+them (see ``fock._closed_form_entries``), touching only the surviving
+states.  ``monomial_action`` applies them to *all* ``2**w`` basis states at
+once; no command calls it, and the tests keep it as the builders' oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def closed_form(factors):
 
 
 def monomial_action(size, factors):
-    """Apply an ordered ladder-factor list to every basis state of a window.
+    """Apply an ordered ladder-factor list to every basis state of a window,
+    the whole-window oracle of the closed-form builds in ``nicolai.fock``.
 
     ``factors`` is as for ``closed_form``.  Returns ``(targets, signs)``
     int64 arrays of length ``2**size``: ``targets[b]`` is the image basis

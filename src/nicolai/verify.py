@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .charges import (
-    _charge_matrices,
+    _charge_stacks,
+    _words,
     enumerate_sequences,
     enumerate_union,
     verify_annihilation,
@@ -22,21 +25,17 @@ from .charges import (
 from .fixtures import CONFIG_TABLES, SEQUENCE_TABLES, load_fixture
 from .fock import (
     FermionMonomial,
-    FockVector,
-    OccupationConfig,
+    IntegerSparseOperator,
     SiteWindow,
+    _build_stack,
+    _reflects,
     anticommutator,
-    build_matrix,
     commutator,
     number_operator,
     parity_operator,
 )
-from .ground import (
-    enumerate_upsilon_hat,
-    is_open_edge_susy_vector,
-    is_close_edge_susy_vector,
-)
-from .model import Interval, build_supercharge
+from .ground import enumerate_upsilon_hat
+from .model import ModelOperators, build_supercharge
 
 __all__ = ["Check", "algebra_suite", "charges_suite", "classification_suite",
            "fixtures_suite", "SUITES", "run_suite"]
@@ -65,6 +64,72 @@ def _random_monomial(rng: random.Random, window: SiteWindow, max_degree: int = 4
     return FermionMonomial(rng.choice((1, -1)), factors)
 
 
+def _adjoint_is_transpose(monos, adjoints, window: SiteWindow) -> bool:
+    """Whether each ``adjoints[t]``'s matrix is the transpose of ``monos[t]``'s,
+    by one comparison of two stacks (see ``fock._build_stack``)."""
+    return _reflects(window, _build_stack(adjoints, window), _build_stack(monos, window), 1)
+
+
+def _block_diagonal(window: SiteWindow, small: SiteWindow, monos) -> IntegerSparseOperator:
+    """The block-diagonal operator on ``window`` whose block ``t`` is
+    ``monos[t]``'s matrix on ``small``, the low sites of ``window``: the high
+    bits of a state index its block.  The stack's keys ascend by block, column
+    and row, so the moved keys stay canonical."""
+    key, vals = _build_stack(monos, small)
+    size, mask = small.size, small.dimension - 1
+    base = (key >> (2 * size)) << size
+    cols, rows = base | ((key >> size) & mask), base | (key & mask)
+    return IntegerSparseOperator._wrap(window, (cols << window.size) | rows, vals)
+
+
+def _leibniz_sides(
+    triples: Sequence[Tuple[FermionMonomial, FermionMonomial, FermionMonomial]],
+    small: SiteWindow,
+) -> Tuple[IntegerSparseOperator, IntegerSparseOperator]:
+    """Both sides of the graded Leibniz rule for every triple ``(a, b, c)`` on
+    ``small`` at once, ``a`` odd: ``[a, bc} = [a, b} c + (-1)^|b| b [a, c}``,
+    where ``[a, x} = a x - (-1)^|x| x a``.
+
+    Block ``t`` of each side holds triple ``t``: the operators are block
+    diagonal on ``small`` plus enough high sites to index the triples (see
+    ``_block_diagonal``), and each grading ``(-1)^|x|`` is a diagonal ±1
+    operator, constant on every block.
+    """
+    high = max(len(triples) - 1, 1).bit_length()
+    window = SiteWindow(small.lo, small.hi + high)
+    firsts, seconds, thirds = zip(*triples)
+    a, b, c = (_block_diagonal(window, small, xs) for xs in (firsts, seconds, thirds))
+    sb, sc = (
+        IntegerSparseOperator.diagonal(
+            window, np.repeat([1 - 2 * (x.degree % 2) for x in xs], small.dimension)
+        )
+        for xs in (seconds, thirds)
+    )
+    graded = lambda x, sign: a @ x - sign @ (x @ a)
+    bc = b @ c
+    lhs = graded(bc, sb @ sc)
+    rhs = graded(b, sb) @ c + sb @ (b @ graded(c, sc))
+    return lhs, rhs
+
+
+def _spot_checks(rng: random.Random, n: int):
+    """The seeded random draws of the algebra suite's spot checks: 50
+    monomials for the adjoint check, with their window, then 25 Leibniz
+    triples (the first factor odd), with theirs."""
+    window = SiteWindow(-1, min(2 * n, 3) + 1)
+    monos = [_random_monomial(rng, window) for _ in range(50)]
+    small = SiteWindow(0, 3)
+    triples = []
+    for _ in range(25):
+        a = _random_monomial(rng, small, max_degree=3)
+        if a.degree % 2 == 0:
+            a = FermionMonomial(a.coefficient, a.factors + ((rng.randrange(0, 4), True),))
+        b = _random_monomial(rng, small, max_degree=3)
+        c = _random_monomial(rng, small, max_degree=3)
+        triples.append((a, b, c))
+    return monos, window, triples, small
+
+
 def algebra_suite(n: int, seed: int = 0) -> List[Check]:
     """Superalgebra identities on the interval (0, n), both edge modes."""
     checks: List[Check] = []
@@ -88,35 +153,13 @@ def algebra_suite(n: int, seed: int = 0) -> List[Check]:
         )
         checks.append(Check(f"[H, N] = 0 [{tag}]", commutator(m.H, number).is_zero()))
     # Seeded spot checks: adjoint coherence and the graded Leibniz rule.
-    rng = random.Random(seed)
-    window = SiteWindow(-1, min(2 * n, 3) + 1)
-    adjoint_ok = True
-    for _ in range(50):
-        mono = _random_monomial(rng, window)
-        if build_matrix(mono.adjoint(), window) != build_matrix(mono, window).transpose():
-            adjoint_ok = False
-            break
+    monos, window, triples, small = _spot_checks(random.Random(seed), n)
+    adjoint_ok = _adjoint_is_transpose(monos, [x.adjoint() for x in monos], window)
     checks.append(Check(f"adjoint = transpose (50 random monomials, seed {seed})", adjoint_ok))
-    small = SiteWindow(0, 3)
-    leibniz_ok = True
-    for _ in range(25):
-        a = _random_monomial(rng, small, max_degree=3)
-        if a.degree % 2 == 0:
-            a = FermionMonomial(a.coefficient, a.factors + ((rng.randrange(0, 4), True),))
-        b = _random_monomial(rng, small, max_degree=3)
-        c = _random_monomial(rng, small, max_degree=3)
-        am, bm, cm = (build_matrix(x, small) for x in (a, b, c))
-        grade = lambda x, deg: anticommutator(am, x) if deg % 2 else commutator(am, x)
-        lhs = grade(bm @ cm, b.degree + c.degree)
-        rhs = grade(bm, b.degree) @ cm + (bm @ grade(cm, c.degree)).scaled(
-            -1 if b.degree % 2 else 1
-        )
-        if lhs != rhs:
-            leibniz_ok = False
-            break
+    lhs, rhs = _leibniz_sides(triples, small)
     checks.append(
         Check(f"graded Leibniz rule for odd derivations (25 random triples, seed {seed})",
-              leibniz_ok)
+              lhs == rhs)
     )
     return checks
 
@@ -127,8 +170,8 @@ def charges_suite(n: int) -> List[Check]:
     checks: List[Check] = []
     sequences = enumerate_union(0, n)
     # both checks take the same matrices, built once
-    charges = _charge_matrices(sequences, m.window)
-    all_commute = verify_commutation(sequences, m, charges)
+    stacks = _charge_stacks(sequences, m.window)
+    all_commute = verify_commutation(sequences, m, stacks)
     checks.append(
         Check(
             f"[H, Q(f)] = [H, Q(f)*] = 0 and {{Q, Q(f)}} = {{Qdag, Q(f)}} = 0 "
@@ -136,7 +179,7 @@ def charges_suite(n: int) -> List[Check]:
             all_commute,
         )
     )
-    all_vanish = verify_annihilation(sequences, m.window, charges)
+    all_vanish = verify_annihilation(sequences, m.window, stacks)
     checks.append(
         Check(
             f"Q(f) q(i) = q(i) Q(f) = Q(f) q*(i) = q*(i) Q(f) = 0 "
@@ -147,28 +190,38 @@ def charges_suite(n: int) -> List[Check]:
     return checks
 
 
+def _killed(m: ModelOperators) -> np.ndarray:
+    """Which basis states of the model window ``Q`` and ``Q*`` both
+    annihilate: the states whose columns are empty in both."""
+    killed = np.ones(m.window.dimension, dtype=bool)
+    killed[m.Q.cols] = False
+    killed[m.Qdag.cols] = False
+    return killed
+
+
 def classification_suite(n: int) -> List[Check]:
-    """Exhaustive classification sweep over all configurations of (0, n)."""
-    window = Interval(0, n).inner
-    members = {g.occ for g in enumerate_upsilon_hat(0, n)}
-    equiv = True
-    implication = True
-    for occ in range(window.dimension):
-        cfg = OccupationConfig(window, occ)
-        vec = FockVector.from_config(cfg)
-        open_susy = is_open_edge_susy_vector(vec, 0, n)
-        if open_susy != (occ in members):
-            equiv = False
-        if n >= 2 and open_susy and not is_close_edge_susy_vector(vec, 0, n):
-            implication = False
+    """Exhaustive classification sweep over all configurations of (0, n).
+
+    A configuration is open-edge SUSY exactly when ``Q`` and ``Q*`` kill its
+    four edge-dressed basis states, so one pass over the nonempty columns
+    tests every configuration at once."""
+    m = build_supercharge((0, n), "open")
+    size = 2 * n + 1
+    configs = np.arange(1 << size, dtype=np.int64)
+    edges = np.array([0, 1, 2 << size, 1 | 2 << size], dtype=np.int64)
+    open_susy = _killed(m)[(configs << 1)[:, None] | edges].all(axis=1)
+    ground = np.zeros(configs.size, dtype=bool)
+    ground[_words(size)] = True
     checks = [
         Check(
             f"open-edge SUSY <=> open-boundary ground config, "
-            f"all {window.dimension} configs [n={n}]",
-            equiv,
+            f"all {configs.size} configs [n={n}]",
+            bool(np.array_equal(open_susy, ground)),
         )
     ]
     if n >= 2:
+        close_susy = _killed(build_supercharge((0, n), "closed"))
+        implication = not (open_susy & ~close_susy).any()
         checks.append(Check(f"open-edge SUSY => close-edge SUSY [n={n}]", implication))
     return checks
 

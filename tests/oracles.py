@@ -23,8 +23,15 @@ from nicolai.fock import (
     number_operator,
     parity_operator,
 )
-from nicolai.ground import _start_config, charge_action_on_config
+from nicolai.ground import (
+    _start_config,
+    charge_action_on_config,
+    enumerate_upsilon_hat,
+    is_close_edge_susy_vector,
+    is_open_edge_susy_vector,
+)
 from nicolai.intrank import integer_rank, rows_from_csr
+from nicolai.kernels import monomial_action
 from nicolai.model import Interval, ModelOperators, supercharge_term
 from nicolai.verify import Check
 
@@ -42,6 +49,25 @@ def graded_commutator(
     if parity_a == "odd" and parity_b == "odd":
         return anticommutator(a, b)
     return commutator(a, b)
+
+
+def matrix_by_basis_action(op, window: SiteWindow) -> IntegerSparseOperator:
+    """The matrix of a monomial, or of a sum of monomials, from
+    ``kernels.monomial_action`` over every basis state of the window, summed
+    and sorted by the checked constructor."""
+    terms = (op,) if isinstance(op, FermionMonomial) else tuple(op)
+    keys, vals = [], []
+    for term in terms:
+        if term.coefficient == 0:
+            continue
+        application_order = [(window.bit(s), d) for s, d in reversed(term.factors)]
+        targets, signs = monomial_action(window.size, application_order)
+        cols = np.flatnonzero(targets >= 0)
+        keys.append((cols << window.size) | targets[cols])
+        vals.append(signs[cols] * np.int64(term.coefficient))
+    if not keys:
+        return IntegerSparseOperator.zero(window)
+    return IntegerSparseOperator(window, np.concatenate(keys), np.concatenate(vals))
 
 
 def particle_hole_unitary(window: SiteWindow) -> IntegerSparseOperator:
@@ -219,3 +245,55 @@ def footprint_search_tree(k: int, l: int, start: str) -> Dict[int, Optional[int]
         reached = np.union1d(reached, fresh)
         frontier = fresh
     return tree
+
+
+# -- the algebra and classification spot checks, one item at a time ------------
+
+
+def adjoint_by_monomial(monos, window: SiteWindow) -> bool:
+    """Whether every monomial's adjoint has the transposed matrix, one
+    monomial at a time."""
+    return all(build_matrix(m.adjoint(), window) == build_matrix(m, window).transpose()
+               for m in monos)
+
+
+def leibniz_by_triple(a, b, c, window: SiteWindow):
+    """Both sides of the graded Leibniz rule ``[a, bc} = [a, b} c +
+    (-1)^|b| b [a, c}`` for one triple with ``a`` odd, from its own matrices."""
+    am, bm, cm = (build_matrix(x, window) for x in (a, b, c))
+    grade = lambda x, deg: anticommutator(am, x) if deg % 2 else commutator(am, x)
+    lhs = grade(bm @ cm, b.degree + c.degree)
+    rhs = grade(bm, b.degree) @ cm + (bm @ grade(cm, c.degree)).scaled(
+        -1 if b.degree % 2 else 1
+    )
+    return lhs, rhs
+
+
+def leibniz_by_triples(triples, window: SiteWindow) -> bool:
+    return all(lhs == rhs for lhs, rhs in (leibniz_by_triple(*t, window) for t in triples))
+
+
+def classification_by_config(n: int) -> List[Check]:
+    """The classification checks of ``verify.classification_suite``, one
+    configuration vector at a time."""
+    window = Interval(0, n).inner
+    members = {g.occ for g in enumerate_upsilon_hat(0, n)}
+    equiv = True
+    implication = True
+    for occ in range(window.dimension):
+        vec = FockVector.from_config(OccupationConfig(window, occ))
+        open_susy = is_open_edge_susy_vector(vec, 0, n)
+        if open_susy != (occ in members):
+            equiv = False
+        if n >= 2 and open_susy and not is_close_edge_susy_vector(vec, 0, n):
+            implication = False
+    checks = [
+        Check(
+            f"open-edge SUSY <=> open-boundary ground config, "
+            f"all {window.dimension} configs [n={n}]",
+            equiv,
+        )
+    ]
+    if n >= 2:
+        checks.append(Check(f"open-edge SUSY => close-edge SUSY [n={n}]", implication))
+    return checks

@@ -207,10 +207,31 @@ def test_one_wrong_charge_fails_the_charges_suite(capsys, monkeypatch, where):
 
 
 def test_verify_usage_errors(capsys):
+    # n = 9 needs a 21-site window, beyond the default --max-dim
     code, doc = _run_json(capsys, "verify", "algebra", "--n", "9")
-    assert code == 2 and doc["status"] == "failure"
+    assert code == 3 and doc["status"] == "failure"
+    assert doc["payload"]["code"] == "resource-limit"
     code, doc = _run_json(capsys, "verify", "algebra")
     assert code == 2
+
+
+@pytest.mark.parametrize("suite", ["algebra", "charges", "classification"])
+def test_verify_limits(capsys, suite):
+    # n < 1 is a usage error; the window obeys --max-dim; n = 6 runs by
+    # default and n = 7 meets the work cap
+    for n in ("0", "-3"):
+        code, doc = _run_json(capsys, "verify", suite, "--n", n)
+        assert code == 2 and doc["payload"]["code"] == "usage-error"
+    code, doc = _run_json(capsys, "--max-dim", "2047", "verify", suite, "--n", "4")
+    assert code == 3 and doc["payload"]["code"] == "resource-limit"
+    code, doc = _run_json(capsys, "--max-dim", "2048", "verify", suite, "--n", "4")
+    assert code == 0 and doc["payload"]["passed"]
+    code, doc = _run_json(capsys, "verify", suite, "--n", "6")
+    assert code == 0 and doc["payload"]["passed"] and len(doc["payload"]["checks"]) >= 2
+    for n in ("7", "20"):
+        code, doc = _run_json(capsys, "--max-dim", str(1 << 62), "verify", suite, "--n", n)
+        assert code == 3 and doc["payload"]["code"] == "resource-limit"
+        assert "n <= 6" in doc["payload"]["reason"]
 
 
 def test_spectrum(capsys):

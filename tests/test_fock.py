@@ -20,7 +20,7 @@ from nicolai.fock import (
     number_operator,
     parity_operator,
 )
-from oracles import graded_commutator, particle_hole_unitary
+from oracles import graded_commutator, matrix_by_basis_action, particle_hole_unitary
 from sparse_oracle import csr
 
 
@@ -462,11 +462,22 @@ def _blocks(w, count, key, vals):
     return [IntegerSparseOperator(w, low[block == t], vals[block == t]) for t in range(count)]
 
 
+def _stack(w, ops):
+    """The wide matrix ``[op_0 | op_1 | ...]`` of built operators, as one
+    canonical ``(key, vals)``: block ``t`` holds ``op_t``'s keys plus
+    ``t << 2 * size``."""
+    assert all(op.window == w for op in ops) and len(ops) <= fock._max_blocks(w)
+    key = np.concatenate([op.key for op in ops])
+    blocks = np.arange(len(ops), dtype=np.int64) << (2 * w.size)
+    key |= np.repeat(blocks, [op.nnz for op in ops])
+    return key, np.concatenate([op.vals for op in ops])
+
+
 def _wide_products(a, bs):
     """``[a @ b]`` and ``[b @ a]`` for every ``b`` in ``bs``, from one wide left
     product each: the second as ``(aᵀ bᵀ)ᵀ``, block by block."""
     w = a.window
-    stack = fock._stack(w, bs)
+    stack = _stack(w, bs)
     wide = fock._product(a.transpose(), *fock._transpose_blocks(w, *stack))
     left = _blocks(w, len(bs), *fock._product(a, *stack))
     return left, _blocks(w, len(bs), *fock._transpose_blocks(w, *wide))
@@ -490,11 +501,11 @@ def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
         w = SiteWindow(lo, lo + size - 1)
         a = IntegerSparseOperator.zero(w) if trial == 0 else build_matrix(_rand_sum(rng, w), w)
         bs = _rand_stack(rng, w)
-        (group,) = fock._batches(a, bs)
+        (group,) = fock._batches(w, bs)
         for b, ab, ba in zip(bs, *_wide_products(a, group)):
             assert ab == a @ b and _same(ab, csr(a) @ csr(b)) and _canonical_form(a @ b)
             assert ba == b @ a and _same(ba, csr(b) @ csr(a)) and _canonical_form(b @ a)
-    assert fock._batches(a, []) == []
+    assert fock._batches(w, []) == []
 
 
 def test_transpose_blocks_transposes_every_block():
@@ -503,7 +514,7 @@ def test_transpose_blocks_transposes_every_block():
         size = rng.randint(1, 5)
         w = SiteWindow(0, size - 1)
         bs = _rand_stack(rng, w)
-        stack = fock._stack(w, bs)
+        stack = _stack(w, bs)
         flipped = fock._transpose_blocks(w, *stack)
         for b, bt in zip(bs, _blocks(w, len(bs), *flipped)):
             assert bt == b.transpose() and _same(bt, csr(b).T)
@@ -521,7 +532,7 @@ def test_batched_products_raise_when_bound_uncertifiable():
     for b, ab, ba in zip(bs, *_wide_products(a, bs)):
         assert _same(ab, csr(a) @ csr(b)) and _same(ba, csr(b) @ csr(a))
     bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
-    stack = fock._stack(w, bs)
+    stack = _stack(w, bs)
     with pytest.raises(OverflowError):
         fock._product(a, *stack)
     with pytest.raises(OverflowError):
@@ -529,19 +540,112 @@ def test_batched_products_raise_when_bound_uncertifiable():
 
 
 def test_batched_products_refuse_window_mismatch():
+    # a stack is built on one window: a site outside it is refused
     w, other = SiteWindow(0, 2), SiteWindow(1, 3)
-    a = _eye(w)
+    inside, outside = FermionMonomial(1, ((2, True),)), FermionMonomial(1, ((3, True),))
+    assert fock._build_stack([inside], w)[0].size == 4
     with pytest.raises(ValueError):
-        fock._batches(a, [_eye(w), _eye(other)])
+        fock._build_stack([inside, outside], w)
     with pytest.raises(ValueError):
-        a @ _eye(other)
+        _eye(w) @ _eye(other)
+
+
+def _full_monomial(w):
+    """A monomial touching every site of ``w``: one nonzero entry."""
+    return FermionMonomial(1, tuple((s, True) for s in w.sites))
 
 
 def test_batched_products_split_when_block_keys_would_overflow():
-    # a 31-site window leaves no key bits for a block index: one block per group
+    # a 31-site window leaves key bits for one block only: no stack of two,
+    # and no group whose stack fits beside its transpose
     w = SiteWindow(0, 30)
-    zero = IntegerSparseOperator.zero(w)
-    groups = fock._batches(zero, [zero] * 3)
-    assert [len(group) for group in groups] == [1, 1, 1]
-    for group in groups:
-        assert fock._product(zero, *fock._stack(w, group))[0].size == 0
+    monos = [_full_monomial(w)] * 3
+    key, vals = fock._build_stack(monos[:1], w)
+    assert key.tolist() == [w.dimension - 1] and vals.tolist() == [1]
+    with pytest.raises(OverflowError):
+        fock._build_stack(monos[:2], w)
+    with pytest.raises(OverflowError):
+        fock._batches(w, monos)
+    # a 30-site window holds four blocks, so groups of two, and its keys stay in int64
+    w = SiteWindow(0, 29)
+    monos = [_full_monomial(w)] * 5
+    assert [len(group) for group in fock._batches(w, monos)] == [2, 2, 1]
+    key, _ = fock._build_stack(monos[:4], w)
+    assert key.tolist() == [(t << 60) + w.dimension - 1 for t in range(4)]
+    with pytest.raises(OverflowError):
+        fock._build_stack(monos, w)
+
+
+# -- operators built from closed forms ---------------------------------------------
+
+def _special_monomials(w):
+    """Monomials with the edge cases of the closed form on ``w``."""
+    lo, hi = w.lo, w.hi
+    return [
+        FermionMonomial(1, ()),  # the identity
+        FermionMonomial(-2, ()),
+        FermionMonomial(1, ((lo, True), (lo, True))),  # a zero product
+        FermionMonomial(3, ((hi, False), (lo, True), (hi, True))),  # a repeated site
+        FermionMonomial(1, ((hi, True), (hi, False), (hi, True), (hi, False))),
+        FermionMonomial(0, ((lo, True),)),  # a zero coefficient
+        FermionMonomial(0, ((hi + 5, True),)),  # not built, so its site is never read
+        _full_monomial(w),
+    ]
+
+
+def test_stack_blocks_match_basis_action_and_single_builds():
+    rng = random.Random(61)
+    for trial in range(60):
+        size = rng.randint(1, 7)
+        lo = rng.randint(-4, 2)
+        w = SiteWindow(lo, lo + size - 1)
+        monos = [_rand_monomial(rng, w, max_degree=6) for _ in range(rng.randint(0, 8))]
+        if trial % 3 == 0:
+            monos += _special_monomials(w)
+            rng.shuffle(monos)
+        key, vals = fock._build_stack(monos, w)
+        for m, block in zip(monos, _blocks(w, len(monos), key, vals)):
+            assert block == matrix_by_basis_action(m, w) == build_matrix(m, w), m
+            assert _canonical_form(build_matrix(m, w))
+        assert build_matrix(monos, w) == matrix_by_basis_action(monos, w)
+
+
+def test_stack_and_builds_sort_nothing(monkeypatch):
+    # each block comes out of its closed form in key order
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    rng = random.Random(67)
+    cases = []
+    for _ in range(20):
+        w = SiteWindow(-2, rng.randint(-2, 5))
+        cases.append((w, [_rand_monomial(rng, w, max_degree=6) for _ in range(6)]
+                      + _special_monomials(w)))
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    for w, monos in cases:
+        key, vals = fock._build_stack(monos, w)
+        assert np.all(key[1:] > key[:-1]) and np.all(vals != 0)
+        for m in monos:
+            op = build_matrix(m, w)
+            assert np.all(op.key[1:] > op.key[:-1])
+
+
+def test_stack_refuses_uncertified_coefficients():
+    w = SiteWindow(-1, 1)
+    for c in (1 << 62, -(1 << 62), 1 << 70):
+        big = FermionMonomial(c, ((0, True),))
+        with pytest.raises(OverflowError):
+            fock._build_stack([FermionMonomial(1, ()), big], w)
+        with pytest.raises(OverflowError):
+            build_matrix(big, w)
+    edge = FermionMonomial((1 << 62) - 1, ((0, True),))
+    key, vals = fock._build_stack([edge], w)
+    assert vals.tolist() == [(1 << 62) - 1, -((1 << 62) - 1)] * 2
+    assert build_matrix(edge, w) == matrix_by_basis_action(edge, w)
+
+
+def test_free_states_list_every_value_of_the_mask_in_order():
+    for free in (0, 1, 0b1010, 0b110111, 0b1000001, (1 << 12) - 1):
+        expected = [x for x in range(free + 1) if x & ~free == 0]
+        assert fock._free_states(free).tolist() == expected
