@@ -47,67 +47,34 @@ def _alternates(a: int, b: int, c: int) -> bool:
     return a != b != c
 
 
-def _levels(size: int, pinned: Optional[Mapping[int, int]] = None) -> List[Tuple[list, list]]:
-    """The pruned choice table of the admissible 0/1 words of odd ``size >= 3``.
-
-    A word is admissible when both two-letter edge pairs are constant and no
-    triplet centred at an even offset alternates; under ``-1 <-> 0`` these are
-    the conservation sequences, and on a window with an even low edge the
-    open-boundary ground configurations.  Bit ``p`` of a word is the letter at
-    offset ``p``; ``pinned`` maps offsets to required letters.
-
-    The letters come in groups: the left edge pair, then the pairs
-    ``(2j, 2j + 1)`` whose triplet centred at ``2j`` reaches back to the letter
-    before them, then the last letter, which must repeat its neighbour.  Entry
-    ``[j][a]`` lists the ``(bits, last letter)`` choices of group ``j`` after
-    letter ``a``, in lexicographic order, that agree with the pins and that the
-    later groups can complete.  So every choice ends in a word, and reading
-    the table in order gives the words in lexicographic order.
-    """
-    care = want = 0
-    for p, b in (pinned or {}).items():
-        care |= 1 << p
-        want |= b << p
-    groups = [(0, 1)] + [(p, p + 1) for p in range(2, size - 1, 2)] + [(size - 1,)]
-    depth = len(groups) - 1
-    levels: List[Tuple[list, list]] = [([], [])] * len(groups)
-    for j in range(depth, -1, -1):
-        group = groups[j]
-        mask = sum(1 << p for p in group)
-        levels[j] = ([], [])
-        for a, letters in product((0, 1), product((0, 1), repeat=len(group))):
-            if j == 0:
-                allowed = letters[0] == letters[1]
-            elif j == depth:
-                allowed = letters[0] == a
-            else:
-                allowed = not _alternates(a, *letters)
-            bits = sum(b << p for b, p in zip(letters, group))
-            if (
-                allowed
-                and (bits ^ want) & care & mask == 0
-                and (j == depth or levels[j + 1][letters[-1]])
-            ):
-                levels[j][a].append((bits, letters[-1]))
-    return levels
+# The transfer table of the forbidden-triplet rule.  A 0/1 word of odd size
+# ``>= 3`` is admissible when both two-letter edge pairs are constant and no
+# triplet centred at an even offset alternates; under ``-1 <-> 0`` these are
+# the conservation sequences, and on a window with an even low edge the
+# open-boundary ground configurations.  Bit ``p`` of a packed word is the
+# letter at offset ``p``.  Such a word is one of the two constant left pairs,
+# then pairs ``(2j, 2j + 1)`` whose triplet centred at ``2j`` reaches back to
+# the letter before them, then a last letter that repeats its neighbour.
+# ``_STEPS[a]`` lists, in lexicographic order, the pairs ``(b, c)`` that may
+# follow the odd-offset letter ``a``.
+_STEPS = tuple(
+    tuple((b, c) for b, c in product((0, 1), repeat=2) if not _alternates(a, b, c))
+    for a in (0, 1)
+)
 
 
 def _words(size: int) -> np.ndarray:
-    """Every admissible word of odd ``size >= 3`` (see ``_levels``) as one
+    """Every admissible word of odd ``size >= 3`` (see ``_STEPS``) as one
     int64 array, in lexicographic order.
 
     After letter ``a`` at offset ``p - 1``, a pair ``(p, p + 1)`` takes the
-    three letter pairs whose triplet with ``a`` does not alternate; each word
-    so far grows into its three extensions, in order, from one of the two
-    constant left pairs, and the last letter repeats its neighbour.
+    three steps ``_STEPS[a]``; each word so far grows into its three
+    extensions, in order, from one of the two constant left pairs, and the
+    last letter repeats its neighbour.
     """
     if size > 62:
         raise ValueError(f"words of {size} letters do not fit in int64")
-    pairs = list(product((0, 1), repeat=2))
-    choices = np.array(
-        [[b | c << 1 for b, c in pairs if not _alternates(a, b, c)] for a in (0, 1)],
-        dtype=np.int64,
-    )
+    choices = np.array([[b | c << 1 for b, c in steps] for steps in _STEPS], dtype=np.int64)
     words = np.array([0b00, 0b11], dtype=np.int64)
     for p in range(2, size - 1, 2):
         words = (words[:, None] | choices[(words >> (p - 1)) & 1] << p).ravel()
@@ -116,7 +83,7 @@ def _words(size: int) -> np.ndarray:
 
 def _admissible(words: np.ndarray, size: int) -> np.ndarray:
     """Which packed words (an int64 array, or one int) are admissible words
-    of odd ``size >= 3`` (see ``_levels``).
+    of odd ``size >= 3`` (see ``_STEPS``).
 
     Bits above ``size`` are ignored.  Bit ``p`` of ``d = w ^ (w >> 1)`` is set
     where letters ``p`` and ``p + 1`` differ, so the edge pairs are constant
@@ -133,17 +100,28 @@ def _admissible(words: np.ndarray, size: int) -> np.ndarray:
 def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
     """The lexicographically first admissible word agreeing with ``pinned``, or None.
 
-    The table is pruned, so the first choice at every level completes: this
-    takes time linear in ``size``, however wide the window.
+    ``pinned`` maps offsets to required letters.  A backward pass marks which
+    letters at each odd offset the rest of the word can still follow under
+    the pins; the forward pass then takes the first live step each time.
+    Both take time linear in ``size``, however wide the window.
     """
-    levels = _levels(size, pinned)
-    if not levels[0][0]:
+
+    def fits(p: int, *letters: int) -> bool:
+        return all(pinned.get(p + i, x) == x for i, x in enumerate(letters))
+
+    live = [tuple(fits(size - 1, a) for a in (0, 1))]
+    for p in range(size - 3, 1, -2):
+        after = live[-1]
+        live.append(tuple(any(fits(p, b, c) and after[c] for b, c in steps) for steps in _STEPS))
+    live.reverse()  # live[j][a]: letter a at offset 2j + 1 can be followed
+    a = next((a for a in (0, 1) if fits(0, a, a) and live[0][a]), None)
+    if a is None:
         return None
-    word = a = 0
-    for level in levels:
-        bits, a = level[a][0]
-        word |= bits
-    return word
+    word = a | a << 1
+    for j, p in enumerate(range(2, size - 1, 2), 1):
+        b, a = next((b, c) for b, c in _STEPS[a] if fits(p, b, c) and live[j][c])
+        word |= b << p | a << (p + 1)
+    return word | a << (size - 1)
 
 
 def _unpack(words: np.ndarray, size: int) -> np.ndarray:
@@ -221,7 +199,8 @@ def enumerate_union(p: int, q: int) -> List[ConservationSequence]:
     """Union of the sequence spaces over all subintervals ``p <= k < l <= q``.
 
     Sequences on distinct intervals never collide, so the union is a plain
-    concatenation, sorted by ``(k, l, values)``.
+    concatenation, already in ``(k, l, values)`` order: ``k`` and ``l``
+    ascend, and each interval's sequences come in lexicographic order.
     """
     if p >= q:
         raise ValueError("p < q required")
@@ -229,7 +208,7 @@ def enumerate_union(p: int, q: int) -> List[ConservationSequence]:
     for k in range(p, q):
         for l in range(k + 1, q + 1):
             out.extend(enumerate_sequences(k, l))
-    return sorted(out)
+    return out
 
 
 def charge_monomial(f: ConservationSequence) -> FermionMonomial:

@@ -6,7 +6,7 @@ open-boundary class additionally requires constant occupation on each two-site
 edge pair; exactly those configurations give product vectors annihilated by
 the open-edge supercharge pair, and their number is ``2 * 3**(n-1)`` on
 ``[0..2n]`` (reproduced here both by direct enumeration and by an exact
-transfer-matrix power).
+walk over the transfer table of the forbidden-triplet rule).
 
 Every such configuration is reachable from the all-empty and the all-full
 reference vectors by finitely many charge monomials; ``generate_word`` finds a
@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .charges import (
+    _STEPS,
     ConservationSequence,
     _admissible,
     _alternates,
@@ -45,7 +46,6 @@ from .model import Interval, build_supercharge
 __all__ = [
     "GenerationError",
     "GenerationWord",
-    "TRANSFER_MATRIX",
     "is_ground_config",
     "enumerate_upsilon_hat",
     "count_transfer",
@@ -91,33 +91,24 @@ def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
     return list(_upsilon_hat_cached(k, l))
 
 
-# Transition matrix between consecutive site pairs (states 00, 01, 10, 11):
-# a step (a, b) -> (c, d) is allowed unless (a, b, c) alternates.
-_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-TRANSFER_MATRIX: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(int(not _alternates(a, b, c)) for c, _ in _PAIRS) for a, b in _PAIRS
-)
-
-
-def _mat4_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
-    )
-
-
 def count_transfer(n: int) -> int:
     """Number of open-boundary ground configurations on ``[0..2n]``.
 
-    Exact integer power of the pair-to-pair transfer matrix; the admissible
-    boundary pairs select the (1,1),(1,4),(2,1),(2,4),(3,1),(3,4),(4,1),(4,4)
-    entries of ``T**(n-1)``.
+    Exact integer walk over the transfer table ``_STEPS`` that ``_words``
+    and ``_first_word`` read: from the two constant left pairs, ``n - 1``
+    steps count the words by their last odd-offset letter, which the last
+    site repeats.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    power = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    ends = [1, 1]
     for _ in range(n - 1):
-        power = _mat4_mul(power, TRANSFER_MATRIX)
-    return sum(power[i][j] for i in (0, 1, 2, 3) for j in (0, 3))
+        after = [0, 0]
+        for a, steps in enumerate(_STEPS):
+            for _, c in steps:
+                after[c] += ends[a]
+        ends = after
+    return sum(ends)
 
 
 # -- supersymmetry tests for vectors ----------------------------------------

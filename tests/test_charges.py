@@ -1,6 +1,7 @@
 """Conservation sequences, their charge monomials, and the conservation laws."""
 
 import hashlib
+import random
 from itertools import product
 
 import numpy as np
@@ -141,6 +142,13 @@ def test_union_order_digest():
     assert _digest(f"{f.k},{f.l},{f.to_string()}" for f in union) == UNION_0_8_DIGEST
 
 
+@pytest.mark.parametrize("p,q", [(0, 3), (-2, 1), (1, 4), (-3, 0)])
+def test_union_comes_sorted(p, q):
+    # the concatenation is already in (k, l, values) order, never re-sorted
+    union = enumerate_union(p, q)
+    assert union == sorted(union)
+
+
 def _walk_oracle(size, pinned=None):
     """Depth-first walk over the admissible words of odd ``size``, lazily, in
     lexicographic order; the enumerator the bulk and greedy readers replaced.
@@ -207,6 +215,18 @@ def _pinned_sizes(draw):
 @given(_pinned_sizes())
 def test_first_word_matches_depth_first_oracle(case):
     size, pinned = case
+    assert _first_word(size, pinned) == next(_walk_oracle(size, pinned), None)
+
+
+@pytest.mark.parametrize("size", [201, 1001])
+@pytest.mark.parametrize("seed", range(8))
+def test_first_word_matches_depth_first_oracle_on_wide_windows(size, seed):
+    # up to 12 pins in a stretch of 16 letters, so that they interact, at the
+    # left edge, at the right edge or anywhere between
+    rng = random.Random(seed)
+    start = rng.choice((0, rng.randrange(size - 15), size - 16))
+    offsets = rng.sample(range(start, start + 16), rng.randint(0, 12))
+    pinned = {p: rng.randint(0, 1) for p in offsets}
     assert _first_word(size, pinned) == next(_walk_oracle(size, pinned), None)
 
 

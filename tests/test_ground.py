@@ -5,12 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicolai.charges import ConservationSequence
+from nicolai.charges import _STEPS, ConservationSequence, _alternates
 from nicolai.fixtures import load_fixture
 from nicolai.fock import FockVector, OccupationConfig, SiteWindow
 from nicolai.ground import (
     charge_action_on_config,
-    TRANSFER_MATRIX,
     count_transfer,
     enumerate_upsilon_hat,
     extend_to_interval,
@@ -87,18 +86,18 @@ def test_transfer_counts():
     assert count_transfer(1) == 2
     assert count_transfer(3) == 18
     assert count_transfer(8) == 4374
+    for n in [*range(1, 61), 9000]:
+        assert count_transfer(n) == 2 * 3 ** (n - 1)
     with pytest.raises(ValueError):
         count_transfer(0)
 
 
-def test_transfer_matrix_is_the_forbidden_triplet_rule():
-    # pair states 00, 01, 10, 11; (a, b) -> (c, d) unless (a, b, c) alternates
-    assert TRANSFER_MATRIX == (
-        (1, 1, 1, 1),
-        (0, 0, 1, 1),
-        (1, 1, 0, 0),
-        (1, 1, 1, 1),
-    )
+def test_transfer_table_is_the_forbidden_triplet_rule():
+    # after odd-offset letter a, the pairs (b, c) whose triplet (a, b, c)
+    # does not alternate, in lexicographic order
+    assert _STEPS == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (1, 1)))
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        assert ((b, c) in _STEPS[a]) == (not _alternates(a, b, c))
 
 
 def test_counting_methods_agree():
