@@ -77,23 +77,34 @@ def _words(size: int) -> np.ndarray:
     choices = np.array([[b | c << 1 for b, c in steps] for steps in _STEPS], dtype=np.int64)
     words = np.array([0b00, 0b11], dtype=np.int64)
     for p in range(2, size - 1, 2):
-        words = (words[:, None] | choices[(words >> (p - 1)) & 1] << p).ravel()
-    return words | ((words >> (size - 2)) & 1) << (size - 1)
+        grown = np.take(choices << p, (words >> (p - 1)) & 1, axis=0)
+        grown |= words[:, None]
+        words = grown.ravel()
+    words |= ((words >> (size - 2)) & 1) << (size - 1)
+    return words
+
+
+def _rule_masks(size: int) -> Tuple[int, int]:
+    """The forbidden-triplet rule for words of odd ``size >= 3`` (see
+    ``_STEPS``) as two bit masks ``(edges, centres)``.
+
+    Bit ``p`` of ``d = w ^ (w >> 1)`` is set where letters ``p`` and
+    ``p + 1`` of a packed word ``w`` differ, so the edge pairs are constant
+    when ``d & edges`` is 0 (bits ``0`` and ``size - 2``), and the triplet
+    centred at an even offset ``p`` alternates exactly when bits ``p - 1``
+    and ``p`` of ``d`` are both set, so none alternates when
+    ``d & (d >> 1) & centres`` is 0 (bits ``p - 1``): the rule of
+    ``_alternates``.
+    """
+    return 1 | 1 << (size - 2), sum(1 << (p - 1) for p in range(2, size - 1, 2))
 
 
 def _admissible(words: np.ndarray, size: int) -> np.ndarray:
     """Which packed words (an int64 array, or one int) are admissible words
-    of odd ``size >= 3`` (see ``_STEPS``).
-
-    Bits above ``size`` are ignored.  Bit ``p`` of ``d = w ^ (w >> 1)`` is set
-    where letters ``p`` and ``p + 1`` differ, so the edge pairs are constant
-    when bits ``0`` and ``size - 2`` of ``d`` are clear, and the triplet
-    centred at an even offset ``p`` alternates exactly when bits ``p - 1``
-    and ``p`` are both set: the forbidden-triplet rule of ``_alternates``.
-    """
+    of odd ``size >= 3``, by the masks of ``_rule_masks``; bits above
+    ``size`` are ignored."""
     d = words ^ (words >> 1)
-    edges = 1 | 1 << (size - 2)
-    centres = sum(1 << (p - 1) for p in range(2, size - 1, 2))
+    edges, centres = _rule_masks(size)
     return ((d & edges) == 0) & ((d & (d >> 1) & centres) == 0)
 
 

@@ -11,9 +11,10 @@ walk over the transfer table of the forbidden-triplet rule).
 Every such configuration is reachable from the all-empty and the all-full
 reference vectors by finitely many charge monomials; ``generate_word`` finds a
 shortest action word by breadth-first search over configurations and returns
-a replayable certificate with its exact sign.  The search tests each charge
-footprint once per frontier, not each charge once per configuration; ties go
-to the smallest parent, then to the plain action before the adjoint.
+a replayable certificate with its exact sign.  The search tests every charge
+footprint of a frontier chunk in one array operation, not each charge once per
+configuration; ties go to the smallest parent, then to the plain action before
+the adjoint.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .charges import (
     _admissible,
     _alternates,
     _first_word,
+    _rule_masks,
     _words,
     charge_monomial,
 )
 from .fock import (
+    _CHUNK,
     FermionMonomial,
     FockVector,
     OccupationConfig,
@@ -287,45 +290,66 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     (for the adjoint: the letters themselves), and then flips the footprint.
     Admissible words are closed under complement, so a node has a move on a
     footprint exactly when its bits there are admissible, and the plain and
-    adjoint moves both lead to ``node ^ footprint``: one bitwise ``_admissible``
-    test per footprint covers the whole frontier.  Reached configurations are
-    bits of one bitmap over the window's states.
+    adjoint moves both lead to ``node ^ footprint``.
+
+    Each level is one pass over the frontier, in chunks of about
+    ``_CHUNK / 4`` (node, footprint) cells.  With ``d = x ^ (x >> 1)`` for the
+    chunk's nodes ``x``, ``d | (d & (d >> 1)) << w`` (``w`` the window size) is
+    ANDed with one mask per footprint, its ``_rule_masks`` edge-pair bits in
+    the low half and triplet-centre bits in the high half: a move exists
+    exactly where the result is 0.  A move to an unseen node is kept as the
+    key ``dst << w | src``; once sorted, the first key per ``dst`` holds its
+    smallest source in the chunk.  Moves are undone on their own footprint,
+    so the frontier nodes that reach a fresh node are exactly its parents.
+    The chunk's fresh nodes are marked reached at once, and later chunks,
+    whose sources are larger, skip them: the first source found is the
+    smallest parent in the whole frontier, and only one chunk's moves are
+    held at a time.  Reached configurations are bits of one bitmap over the
+    window's states.
 
     Returns the search tree: each reached configuration maps to its parent,
-    the start to ``None``.  Ties break as a scan of the frontier in ascending
-    order and of moves in ``enumerate_union`` order would: the parent is the
-    smallest frontier node reaching the configuration, and ``_step`` takes the
-    plain move when that node's lowest footprint bit is occupied.
+    the start to ``None``, inserted level by level in ascending order.  Ties
+    break as a scan of the frontier in ascending order and of moves in
+    ``enumerate_union`` order would: the parent is the smallest frontier node
+    reaching the configuration, and ``_step`` takes the plain move when that
+    node's lowest footprint bit is occupied.
     """
-    footprints = [  # (shift, size, the footprint's bits)
-        (2 * (lo - k), 2 * m + 1, ((1 << (2 * m + 1)) - 1) << 2 * (lo - k))
-        for m in range(1, l - k + 1)
-        for lo in range(k, l - m + 1)
-    ]
     window = Interval(k, l).inner
+    w = window.size
+    if 2 * w > 62:
+        raise ValueError(f"a search key of two {w}-site states does not fit in int64")
+    flips, masks = [], []
+    for m in range(1, l - k + 1):
+        size = 2 * m + 1
+        edges, centres = _rule_masks(size)
+        for shift in range(0, 2 * (l - k - m) + 1, 2):
+            flips.append(((1 << size) - 1) << shift)
+            masks.append(edges << shift | centres << (shift + w))
+    flips, masks = np.array(flips, dtype=np.int64), np.array(masks, dtype=np.int64)
+    # A chunk's (rows, footprints) AND is int64, so a quarter of ``_CHUNK``
+    # cells keeps each temporary near 0.5 MB.
+    rows = max(1, (_CHUNK >> 2) // masks.size)
     start_occ = _start_config(start, window).occ
     tree: Dict[int, Optional[int]] = {start_occ: None}
     reached = np.zeros((window.dimension + 7) // 8, dtype=np.uint8)
     frontier = np.array([start_occ], dtype=np.int64)
     _mark(reached, frontier)
     while frontier.size:
-        dsts = []
-        for shift, size, flip in footprints:
-            dst = frontier[_admissible(frontier >> shift, size)] ^ flip
-            dsts.append(dst[~_seen(reached, dst)])
-        fresh = np.sort(np.concatenate(dsts))
-        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
-        # A move is undone on its own footprint, so the parents of a fresh node
-        # are the frontier nodes it reaches back.  Those are the reached nodes
-        # it reaches: any earlier one would have put it in an earlier frontier.
-        parent = np.full(fresh.size, np.iinfo(np.int64).max)
-        for shift, size, flip in footprints:
-            node = fresh ^ flip
-            back = _admissible(fresh >> shift, size) & _seen(reached, node)
-            np.minimum(parent, node, out=parent, where=back)
-        tree.update(zip(fresh.tolist(), parent.tolist()))
-        _mark(reached, fresh)
-        frontier = fresh
+        level = []
+        for lo in range(0, frontier.size, rows):
+            src = frontier[lo : lo + rows]
+            d = src ^ (src >> 1)
+            node, move = np.nonzero(((d | (d & (d >> 1)) << w)[:, None] & masks) == 0)
+            src = src[node]
+            dst = src ^ flips[move]
+            unseen = ~_seen(reached, dst)
+            keys = np.sort(dst[unseen] << w | src[unseen])
+            keys = keys[np.diff(keys >> w, prepend=-1) != 0]
+            _mark(reached, keys >> w)
+            level.append(keys)
+        keys = np.sort(np.concatenate(level))
+        frontier = keys >> w
+        tree.update(zip(frontier.tolist(), (keys & (window.dimension - 1)).tolist()))
     return tree
 
 

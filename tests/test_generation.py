@@ -18,6 +18,7 @@ from nicolai.ground import (
     replay_word_config,
     replay_word_matrix,
 )
+from nicolai import ground
 from nicolai.ground import _reachability, _start_config, _step_monomial, _word_steps
 from nicolai.model import Interval
 from oracles import footprint_search_tree
@@ -361,19 +362,47 @@ def test_footprint_search_matches_the_per_move_oracle(k, l, start):
     _reachability.cache_clear()
 
 
+SHIFTED_INTERVALS = [(-2, 1), (-3, 0), (1, 4), (-1, 5)]
 SORTED_SEARCH_CASES = [
     (k, l, start)
-    for k, l in [(0, n) for n in range(1, 10)] + [(-2, 1), (-3, 0), (1, 4), (-1, 5)]
+    for k, l in [(0, n) for n in range(1, 11)] + SHIFTED_INTERVALS
     for start in ("fock", "occupied")
 ]
 
 
 @pytest.mark.parametrize("k,l,start", SORTED_SEARCH_CASES)
 def test_bitwise_search_matches_the_sorted_word_search(k, l, start):
-    # the bitwise move test and the reached-bitmap give the tree that
-    # searchsorted against sorted words, reached set and frontier gives
-    assert _reachability(k, l, start) == footprint_search_tree(k, l, start)
+    # the one-pass levels and the reached-bitmap give the tree that
+    # searchsorted against sorted words, reached set and frontier gives,
+    # entered in the same order
+    tree = _reachability(k, l, start)
+    assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
     _reachability.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "k,l,start",
+    [
+        (k, l, start)
+        for k, l in [(0, n) for n in range(1, 7)] + SHIFTED_INTERVALS
+        for start in ("fock", "occupied")
+    ],
+)
+def test_search_tree_does_not_depend_on_the_chunk_size(monkeypatch, k, l, start):
+    # a budget of a few cells puts every frontier node in a chunk of its own,
+    # so a fresh node's smallest parent is found across many chunks
+    monkeypatch.setattr(ground, "_CHUNK", 4)
+    _reachability.cache_clear()
+    tree = _reachability(k, l, start)
+    _reachability.cache_clear()
+    assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
+
+
+def test_search_refuses_windows_whose_keys_overflow():
+    # two 33-site states do not fit in one int64 key; refused before the
+    # reached-bitmap is allocated
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        _reachability(0, 16, "fock")
 
 
 # -- the matrix replay, kept as the oracle of the closed-form replay ----------
