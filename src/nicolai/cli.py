@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -101,7 +102,7 @@ def _dumps(doc: dict) -> str:
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
     """Write the result document to ``--output`` or stdout; an ``OSError``
     propagates to ``main``'s failure handling.  ``csv_rows`` are rows, or the
-    CSV text itself."""
+    CSV text itself; handlers make them only under ``--format csv``."""
     elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     if args.format == "csv" and isinstance(csv_rows, str):
         text = csv_rows
@@ -207,8 +208,9 @@ def _cmd_count(args) -> tuple:
     if len(counts) != 1:
         raise _CommandFailure(_EXIT_FAILURE, f"counting methods disagree: {methods}")
     payload = {"n": n, "count": counts.pop(), "methods": methods}
-    rows = [("method", "count")] + [(k, v) for k, v in sorted(methods.items())]
-    return payload, rows
+    if args.format != "csv":
+        return payload, None
+    return payload, [("method", "count")] + sorted(methods.items())
 
 
 def _cmd_verify(args) -> tuple:
@@ -227,10 +229,11 @@ def _cmd_verify(args) -> tuple:
         "checks": [c.to_json() for c in checks],
         "passed": all(c.passed for c in checks),
     }
-    rows = [("check", "passed")] + [(c.name, c.passed) for c in checks]
     if not payload["passed"]:
         raise _CommandFailure(_EXIT_FAILURE, "verification failed: " + json.dumps(payload))
-    return payload, rows
+    if args.format != "csv":
+        return payload, None
+    return payload, [("check", "passed")] + [(c.name, c.passed) for c in checks]
 
 
 def _cmd_spectrum(args) -> tuple:
@@ -239,13 +242,15 @@ def _cmd_spectrum(args) -> tuple:
     if args.edge == "closed" and args.n < 2:
         raise _CommandFailure(_EXIT_USAGE, "closed edge mode requires n >= 2")
     _guard_dimension(window.size, args.max_dim)
-    m = build_supercharge(interval, args.edge)
     sector = "all" if args.sector == "all" else int(args.sector)
     if sector != "all" and not 0 <= sector <= window.size:
         raise _CommandFailure(_EXIT_USAGE, f"sector must lie in [0, {window.size}]")
-    report = spectrum(m, sector)
-    rows = [("index", "eigenvalue")] + report.to_csv_rows()
-    return report.to_json(), rows
+    report = spectrum(build_supercharge(interval, args.edge), sector)
+    if args.format == "csv":
+        return None, report.csv_text()
+    payload = replace(report, eigenvalues=()).to_json()  # the layout, no per-state list
+    payload["eigenvalues"] = _JSONText(report.eigenvalues_json())
+    return payload, None
 
 
 def _cmd_generate(args) -> tuple:
@@ -266,10 +271,11 @@ def _cmd_generate(args) -> tuple:
         raise _CommandFailure(_EXIT_FAILURE, "generated word failed its vector replay")
     payload = word.to_json()
     payload["replay_verified"] = True
-    rows = [("step", "k", "l", "values", "adjoint")] + [
+    if args.format != "csv":
+        return payload, None
+    return payload, [("step", "k", "l", "values", "adjoint")] + [
         (i, f.k, f.l, f.to_string(), adj) for i, (f, adj) in enumerate(word.steps)
     ]
-    return payload, rows
 
 
 def _cmd_replay(args) -> tuple:
@@ -298,10 +304,11 @@ def _cmd_replay(args) -> tuple:
         "steps": len(word.steps),
         "consistent": True,
     }
-    rows = [("target", "predicted_sign", "steps", "consistent")] + [
+    if args.format != "csv":
+        return payload, None
+    return payload, [("target", "predicted_sign", "steps", "consistent")] + [
         (word.target.to_string(), word.predicted_sign, len(word.steps), True)
     ]
-    return payload, rows
 
 
 def _build_parser() -> argparse.ArgumentParser:

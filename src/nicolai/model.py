@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count, repeat
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -129,6 +130,40 @@ class SpectrumReport:
 
     def to_csv_rows(self) -> List[Tuple[int, float]]:
         return list(enumerate(self.eigenvalues))
+
+    def eigenvalues_json(self) -> str:
+        """The compact JSON array of the eigenvalues, as ``json.dumps`` writes
+        it, formatting each distinct value once."""
+        texts, lengths = _float_runs(self.eigenvalues)
+        return "[" + "".join((t + ",") * k for t, k in zip(texts, lengths))[:-1] + "]"
+
+    def csv_text(self) -> str:
+        """The ``index,eigenvalue`` table of ``to_csv_rows`` as CSV text,
+        header first, formatting each distinct value once."""
+        texts, lengths = _float_runs(self.eigenvalues)
+        column = chain.from_iterable(map(repeat, texts, lengths))
+        return "index,eigenvalue\n" + "".join(map("{},{}\n".format, count(), column))
+
+
+def _float_runs(values: Sequence[float]) -> Tuple[List[str], List[int]]:
+    """Split finite ``values`` into runs of one float64 bit pattern: each run's
+    text and its length.
+
+    Runs compare bits, not values, so ``-0.0`` and ``0.0`` never merge.  The
+    text is ``repr``, which is also what ``json.dumps`` and ``str`` write for
+    a finite float.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    bits = a.view(np.int64)
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    firsts = a[starts]
+    if not np.isfinite(firsts).all():
+        raise ValueError("eigenvalues must be finite")
+    lengths = np.diff(starts, append=a.size)
+    return list(map(repr, firsts.tolist())), lengths.tolist()
 
 
 def _block_labels(h: IntegerSparseOperator) -> np.ndarray:

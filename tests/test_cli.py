@@ -18,6 +18,7 @@ import nicolai
 from nicolai.charges import enumerate_sequences
 from nicolai.cli import main
 from nicolai.ground import enumerate_upsilon_hat
+from nicolai.model import SpectrumReport, build_supercharge, spectrum
 
 
 def _run(capsys, *argv):
@@ -251,6 +252,82 @@ def test_spectrum_sector_and_csv(capsys):
     code, out = _run(capsys, "--format", "csv", "spectrum", "--n", "1", "--edge", "open")
     lines = out.splitlines()
     assert lines[0] == "index,eigenvalue" and len(lines) == 33
+
+
+_SPECTRUM_CASES = (
+    [(n, "open", "all") for n in range(1, 7)]
+    + [(n, "closed", "all") for n in range(2, 7)]
+    + [(n, "open", str(s)) for n in (1, 2, 3) for s in range(2 * n + 4)]
+    + [(n, "closed", str(s)) for n in (2, 3) for s in range(2 * n + 2)]
+)
+
+
+@pytest.mark.parametrize("n, edge, sector", _SPECTRUM_CASES)
+def test_spectrum_text_matches_the_report_documents(capsys, n, edge, sector):
+    # the spliced per-run text against json.dumps of report.to_json() and the
+    # join of report.to_csv_rows()
+    report = spectrum(build_supercharge((0, n), edge), sector if sector == "all" else int(sector))
+    argv = ["spectrum", "--n", str(n), "--edge", edge, "--sector", sector]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    reference = {
+        "command": "spectrum",
+        "params": {"command": "spectrum", "edge": edge, "n": n, "sector": sector, "seed": 0},
+        "payload": report.to_json(),
+        "status": "ok",
+        "elapsed_ms": json.loads(out)["elapsed_ms"],
+    }
+    assert out == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+    code, out = _run(capsys, "--format", "csv", *argv)
+    rows = [("index", "eigenvalue")] + report.to_csv_rows()
+    assert code == 0
+    assert out == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+
+
+def test_json_spectrum_makes_no_csv_rows(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("CSV rows made for a JSON document")
+
+    monkeypatch.setattr(SpectrumReport, "to_csv_rows", refuse)
+    monkeypatch.setattr(SpectrumReport, "csv_text", refuse)
+    code, doc = _run_json(capsys, "spectrum", "--n", "3", "--edge", "open")
+    assert code == 0 and len(doc["payload"]["eigenvalues"]) == 1 << 9
+
+
+@pytest.mark.parametrize("sector, reason", [
+    ("99", "sector must lie in [0, 13]"),
+    ("-1", "sector must lie in [0, 13]"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_spectrum_checks_its_sector_before_building(capsys, monkeypatch, sector, reason):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operators built before the sector was checked")
+
+    monkeypatch.setattr(nicolai.cli, "build_supercharge", refuse)
+    code, doc = _run_json(capsys, "spectrum", "--n", "5", "--edge", "open", "--sector", sector)
+    assert code == 2
+    del doc["elapsed_ms"]
+    assert doc == {
+        "command": "spectrum",
+        "params": {"command": "spectrum", "edge": "open", "n": 5, "sector": sector, "seed": 0},
+        "payload": {"code": "usage-error", "reason": reason},
+        "status": "failure",
+    }
+
+
+def test_tabular_commands_write_their_csv(capsys, tmp_path):
+    code, out = _run(capsys, "--format", "csv", "count", "--n", "5")
+    assert code == 0 and out == "method,count\nenumerate,162\ntransfer,162\n"
+    code, out = _run(capsys, "--format", "csv", "verify", "fixtures")
+    assert code == 0 and out.splitlines()[:2] == ["check,passed", "xi_0_1: 2 sequences reproduced,True"]
+    argv = ("generate", "--n", "3", "--target", "0001000", "--start", "occupied")
+    code, out = _run(capsys, "--format", "csv", *argv)
+    assert code == 0 and out == "step,k,l,values,adjoint\n0,2,3,---,False\n1,0,1,---,False\n"
+    code, word = _run(capsys, *argv)
+    word_file = tmp_path / "word.json"
+    word_file.write_text(word)
+    code, out = _run(capsys, "--format", "csv", "replay", "--word", str(word_file))
+    assert code == 0 and out == "target,predicted_sign,steps,consistent\n0001000,1,2,True\n"
 
 
 def test_spectrum_resource_guard(capsys):

@@ -1,5 +1,8 @@
 """Finite-interval supercharges, Hamiltonians, symmetries and spectra."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,13 @@ from nicolai.fock import (
     parity_operator,
 )
 from nicolai.intrank import integer_rank, rows_from_csr
-from nicolai.model import Interval, build_supercharge, spectrum, supercharge_term
+from nicolai.model import (
+    Interval,
+    SpectrumReport,
+    build_supercharge,
+    spectrum,
+    supercharge_term,
+)
 from nicolai.model import _block_labels
 from oracles import (
     bulk_term_crosscheck,
@@ -220,6 +229,32 @@ def test_sector_spectrum_merging():
     assert payload["interval"] == [0, 1] and payload["edge_mode"] == "open"
     with pytest.raises(ValueError):
         spectrum(m, 99)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, 0.0],
+    [0.0, -0.0, 0.0, -0.0, -0.0],
+    [5e-324, 5e-324, 1e16, 1e16, 1e16, 0.1 + 0.2, 0.1 + 0.2, -5e-324, -1e-300],
+    [2.5],
+    [],
+])
+def test_eigenvalue_text_is_json_dumps_and_str(values):
+    # one text per run of a bit pattern, repeated, must write every value
+    # exactly as json.dumps and str do; -0.0 keeps its sign
+    rep = SpectrumReport((0, 1), "open", "all", tuple(values), 0)
+    text = rep.eigenvalues_json()
+    assert text == json.dumps(values, separators=(",", ":"))
+    assert text[1:-1] == ",".join(map(str, values))
+    rows = [("index", "eigenvalue")] + rep.to_csv_rows()
+    assert rep.csv_text() == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigenvalue_text_refuses_non_finite_values(bad):
+    rep = SpectrumReport((0, 1), "open", "all", (0.0, bad), 0)
+    for write in (rep.eigenvalues_json, rep.csv_text):
+        with pytest.raises(ValueError):
+            write()
 
 
 def _dense_sector_oracle(m, sector):
