@@ -20,8 +20,8 @@ import numpy as np
 from .fock import (
     FermionMonomial,
     SiteWindow,
-    _batches,
     _build_stack,
+    _max_blocks,
     _product,
     _reflects,
     _transpose_blocks,
@@ -228,25 +228,28 @@ def charge_monomial(f: ConservationSequence) -> FermionMonomial:
     return FermionMonomial.increasing(factors)
 
 
-def _charge_stacks(sequences: Sequence[ConservationSequence], window: SiteWindow) -> list:
+def _charge_stack(sequences: Sequence[ConservationSequence], window: SiteWindow):
     """The sequences' charge matrices on ``window``, which must contain every
-    sequence interval, laid side by side: one pair ``(S, Sᵀ)`` of canonical
-    wide ``(key, vals)`` per group of ``_batches(window, sequences)``, with
-    ``Sᵀ`` the same blocks transposed."""
+    sequence interval, and their transposes, laid side by side as one
+    canonical wide ``(key, vals)`` ``W = [S | Sᵀ]``: block ``t`` is
+    ``Q(f_t)`` and block ``len(sequences) + t`` its transpose.  More blocks
+    than ``fock._max_blocks`` raise ``OverflowError``."""
     for f in sequences:
         if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
             raise ValueError("window does not contain the sequence interval")
-    stacks = []
-    for group in _batches(window, sequences):
-        s = _build_stack([charge_monomial(f) for f in group], window)
-        stacks.append((s, _transpose_blocks(window, *s)))
-    return stacks
+    blocks = 2 * len(sequences)
+    if blocks > _max_blocks(window):
+        raise OverflowError(f"{blocks} blocks do not fit a window of {window.size} sites")
+    s = _build_stack([charge_monomial(f) for f in sequences], window)
+    st_key, st_vals = _transpose_blocks(window, *s)
+    shift = len(sequences) << (2 * window.size)
+    return np.concatenate((s[0], st_key + shift)), np.concatenate((s[1], st_vals))
 
 
 def verify_annihilation(
     sequences: Sequence[ConservationSequence],
     window: SiteWindow,
-    stacks: Optional[list] = None,
+    stack: Optional[tuple] = None,
 ) -> bool:
     """Exactly check that every charge kills every local supercharge term.
 
@@ -256,62 +259,61 @@ def verify_annihilation(
     the interval commute or anticommute with the charge but their products do
     not vanish, so they are outside the claim.)
 
-    The charges and their transposes are laid side by side as one wide
-    matrix ``W = [S | Sᵀ]``.  Each center selects the entries of the blocks
-    whose interval it meets and takes two wide products with them:
-    ``q(i) Q(f)``, ``q*(i) Q(f)`` and the transposes
-    ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
-    ``stacks`` are ``_charge_stacks(sequences, window)``, when already built.
+    Each center selects the entries of the blocks of ``W = [S | Sᵀ]`` whose
+    interval it meets and takes two wide products with them: ``q(i) Q(f)``,
+    ``q*(i) Q(f)`` and the transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``,
+    ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.  ``stack`` is
+    ``_charge_stack(sequences, window)``, when already built.
     """
-    if stacks is None:
-        stacks = _charge_stacks(sequences, window)
-    shift = 2 * window.size
-    for group, (s, st) in zip(_batches(window, sequences), stacks):
-        key = np.concatenate((s[0], st[0] + (len(group) << shift)))
-        vals = np.concatenate((s[1], st[1]))
-        # 2i-1 >= lo and the triplet meets [2k..2l]; 2i+1 <= hi
-        first = np.array([max((window.lo + 2) // 2, f.k) for f in group] * 2)
-        last = np.array([min((window.hi - 1) // 2, f.l) for f in group] * 2)
-        block = key >> shift
-        entry_first, entry_last = first[block], last[block]
-        for i in range(first.min(), last.max() + 1):
-            meets = (entry_first <= i) & (i <= entry_last)
-            if not meets.any():
-                continue
-            term, picked = build_matrix(supercharge_term(i), window), (key[meets], vals[meets])
-            if any(_product(q, *picked)[0].size for q in (term, term.adjoint())):
-                return False
+    key, vals = _charge_stack(sequences, window) if stack is None else stack
+    # 2i-1 >= lo and the triplet meets [2k..2l]; 2i+1 <= hi
+    first = np.array([max((window.lo + 2) // 2, f.k) for f in sequences] * 2)
+    last = np.array([min((window.hi - 1) // 2, f.l) for f in sequences] * 2)
+    if not first.size:
+        return True
+    block = key >> (2 * window.size)
+    entry_first, entry_last = first[block], last[block]
+    for i in range(first.min(), last.max() + 1):
+        meets = (entry_first <= i) & (i <= entry_last)
+        if not meets.any():
+            continue
+        term, picked = build_matrix(supercharge_term(i), window), (key[meets], vals[meets])
+        if any(_product(q, *picked)[0].size for q in (term, term.adjoint())):
+            return False
     return True
 
 
 def verify_commutation(
     sequences: Sequence[ConservationSequence],
     m: ModelOperators,
-    stacks: Optional[list] = None,
+    stack: Optional[tuple] = None,
 ) -> bool:
     """Exactly check the conservation law of every charge against a
     finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
-    of the charge with both supercharges.  The charges are laid side by side
-    as one wide matrix ``S`` (see ``fock._build_stack``), and ``Sᵀ`` has every
-    block transposed.  With ``C x = (xᵀ Cᵀ)ᵀ``, ``Qᵀ = Q*`` and ``Hᵀ = H``,
-    six wide products decide all four identities, each by one comparison of
-    whole arrays, ``ᵀ`` transposing every block: ``Q S = -(Q* Sᵀ)ᵀ``,
-    ``Q* S = -(Q Sᵀ)ᵀ``, ``H S = (H Sᵀ)ᵀ`` and ``H Sᵀ = (H S)ᵀ``.
-    ``stacks`` are ``_charge_stacks(sequences, m.window)``, when already built.
+    of the charge with both supercharges.  The charges and their transposes
+    are laid side by side as one wide matrix ``W = [S | Sᵀ]`` (see
+    ``_charge_stack``).  Three wide products ``Q W``, ``Q* W`` and ``H W``
+    each split where the ``Sᵀ`` half begins.  With ``C x = (xᵀ Cᵀ)ᵀ``,
+    ``Qᵀ = Q*`` and ``Hᵀ = H``, three comparisons of whole arrays then decide
+    all four identities, ``ᵀ`` transposing every block: ``Q S = -(Q* Sᵀ)ᵀ``,
+    ``Q* S = -(Q Sᵀ)ᵀ`` and ``H S = (H Sᵀ)ᵀ``; the last is ``[H, Q(f)] = 0``,
+    and its transpose ``[H, Q(f)*] = 0``.  ``stack`` is
+    ``_charge_stack(sequences, m.window)``, when already built.
     """
-    if stacks is None:
-        stacks = _charge_stacks(sequences, m.window)
     w = m.window
-    for s, st in stacks:
-        q_s, qdag_s, h_s = (_product(x, *s) for x in (m.Q, m.Qdag, m.H))
-        q_st, qdag_st, h_st = (_product(x, *st) for x in (m.Q, m.Qdag, m.H))
-        if not (
-            _reflects(w, q_s, qdag_st, -1)
-            and _reflects(w, qdag_s, q_st, -1)
-            and _reflects(w, h_s, h_st, 1)
-            and _reflects(w, h_st, h_s, 1)
-        ):
-            return False
-    return True
+    stack = _charge_stack(sequences, w) if stack is None else stack
+    shift = len(sequences) << (2 * w.size)
+
+    def halves(x):
+        key, vals = _product(x, *stack)
+        at = np.searchsorted(key, shift)
+        return (key[:at], vals[:at]), (key[at:] - shift, vals[at:])
+
+    (q_s, q_st), (qdag_s, qdag_st), (h_s, h_st) = (halves(x) for x in (m.Q, m.Qdag, m.H))
+    return (
+        _reflects(w, q_s, qdag_st, -1)
+        and _reflects(w, qdag_s, q_st, -1)
+        and _reflects(w, h_s, h_st, 1)
+    )

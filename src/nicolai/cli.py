@@ -14,6 +14,8 @@ Payloads are deterministic for identical inputs; only ``elapsed_ms`` varies.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -107,7 +109,9 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
     if args.format == "csv" and isinstance(csv_rows, str):
         text = csv_rows
     elif args.format == "csv" and csv_rows is not None:
-        text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
+        text = buffer.getvalue()
     else:
         doc = {
             "command": command,

@@ -445,16 +445,6 @@ def _product(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
     return _assemble(_product_pieces(a, b_key, b_vals))
 
 
-def _batches(window: SiteWindow, items) -> list:
-    """``items`` in groups small enough that the stack of a group, laid beside
-    its transpose, keeps a block index above the packed keys in int64: two
-    blocks per item."""
-    per = _max_blocks(window) // 2
-    if per < 1:
-        raise OverflowError(f"a window of {window.size} sites leaves no room for two blocks")
-    return [items[i : i + per] for i in range(0, len(items), per)]
-
-
 def _max_blocks(window: SiteWindow) -> int:
     """How many blocks a wide matrix on ``window`` holds: block ``t`` adds
     ``t << 2 * size`` to its packed keys, which must stay below ``2**62``."""
@@ -578,8 +568,8 @@ def _build_stack(monomials, window: SiteWindow):
     Block ``t`` holds ``m_t``'s packed keys plus ``t << 2 * size``: its columns
     are ``t * dim`` on, and the blocks follow each other in key order.  Each
     block comes out of its closed form already sorted, so nothing is sorted.
-    More blocks than ``_max_blocks`` raise ``OverflowError`` (``_batches``
-    splits long lists), as does a coefficient that is not certified.
+    More blocks than ``_max_blocks`` raise ``OverflowError``, as does a
+    coefficient that is not certified.
     """
     if len(monomials) > _max_blocks(window):
         raise OverflowError(f"{len(monomials)} blocks do not fit a window of {window.size} sites")

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .charges import (
-    _charge_stacks,
+    _charge_stack,
     _words,
     enumerate_sequences,
     enumerate_union,
@@ -170,8 +170,8 @@ def charges_suite(n: int) -> List[Check]:
     checks: List[Check] = []
     sequences = enumerate_union(0, n)
     # both checks take the same matrices, built once
-    stacks = _charge_stacks(sequences, m.window)
-    all_commute = verify_commutation(sequences, m, stacks)
+    stack = _charge_stack(sequences, m.window)
+    all_commute = verify_commutation(sequences, m, stack)
     checks.append(
         Check(
             f"[H, Q(f)] = [H, Q(f)*] = 0 and {{Q, Q(f)}} = {{Qdag, Q(f)}} = 0 "
@@ -179,7 +179,7 @@ def charges_suite(n: int) -> List[Check]:
             all_commute,
         )
     )
-    all_vanish = verify_annihilation(sequences, m.window, stacks)
+    all_vanish = verify_annihilation(sequences, m.window, stack)
     checks.append(
         Check(
             f"Q(f) q(i) = q(i) Q(f) = Q(f) q*(i) = q*(i) Q(f) = 0 "

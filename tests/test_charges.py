@@ -449,5 +449,5 @@ def test_charges_suite_takes_few_products(monkeypatch):
     monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
     _build_supercharge_cached.cache_clear()  # so H = {Q, Q*} is built and counted
     assert all(c.passed for c in charges_suite(4))
-    # 2 for H, 6 for the four commutation identities, 10 for annihilation
-    assert len(calls) == 18
+    # 2 for H, 3 for the four commutation identities, 10 for annihilation
+    assert len(calls) == 15

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, round trips."""
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -328,6 +329,18 @@ def test_tabular_commands_write_their_csv(capsys, tmp_path):
     word_file.write_text(word)
     code, out = _run(capsys, "--format", "csv", "replay", "--word", str(word_file))
     assert code == 0 and out == "target,predicted_sign,steps,consistent\n0001000,1,2,True\n"
+
+
+def test_verify_csv_parses_into_the_json_checks(capsys):
+    # check names hold commas, so their CSV fields are quoted
+    runs = [("fixtures",)] + [(s, "--n", str(n)) for s in ("algebra", "charges", "classification")
+                              for n in range(1, 4)]
+    for argv in runs:
+        _, doc = _run_json(capsys, "verify", *argv)
+        code, out = _run(capsys, "--format", "csv", "verify", *argv)
+        header, *rows = csv.reader(io.StringIO(out))
+        assert code == 0 and header == ["check", "passed"]
+        assert rows == [[c["name"], str(c["passed"])] for c in doc["payload"]["checks"]]
 
 
 def test_spectrum_resource_guard(capsys):

@@ -501,11 +501,9 @@ def test_batched_products_match_single_products_and_scipy(monkeypatch, chunk):
         w = SiteWindow(lo, lo + size - 1)
         a = IntegerSparseOperator.zero(w) if trial == 0 else build_matrix(_rand_sum(rng, w), w)
         bs = _rand_stack(rng, w)
-        (group,) = fock._batches(w, bs)
-        for b, ab, ba in zip(bs, *_wide_products(a, group)):
+        for b, ab, ba in zip(bs, *_wide_products(a, bs)):
             assert ab == a @ b and _same(ab, csr(a) @ csr(b)) and _canonical_form(a @ b)
             assert ba == b @ a and _same(ba, csr(b) @ csr(a)) and _canonical_form(b @ a)
-    assert fock._batches(w, []) == []
 
 
 def test_transpose_blocks_transposes_every_block():
@@ -556,20 +554,16 @@ def _full_monomial(w):
 
 
 def test_batched_products_split_when_block_keys_would_overflow():
-    # a 31-site window leaves key bits for one block only: no stack of two,
-    # and no group whose stack fits beside its transpose
+    # a 31-site window leaves key bits for one block only: no stack of two
     w = SiteWindow(0, 30)
     monos = [_full_monomial(w)] * 3
     key, vals = fock._build_stack(monos[:1], w)
     assert key.tolist() == [w.dimension - 1] and vals.tolist() == [1]
     with pytest.raises(OverflowError):
         fock._build_stack(monos[:2], w)
-    with pytest.raises(OverflowError):
-        fock._batches(w, monos)
-    # a 30-site window holds four blocks, so groups of two, and its keys stay in int64
+    # a 30-site window holds four blocks, and its keys stay in int64
     w = SiteWindow(0, 29)
     monos = [_full_monomial(w)] * 5
-    assert [len(group) for group in fock._batches(w, monos)] == [2, 2, 1]
     key, _ = fock._build_stack(monos[:4], w)
     assert key.tolist() == [(t << 60) + w.dimension - 1 for t in range(4)]
     with pytest.raises(OverflowError):

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,12 @@ def test_package_reexports_are_exported_by_their_home_modules():
         for alias in node.names:
             assert alias.name in home.__all__, f"{alias.name} is not in nicolai.{node.module}.__all__"
             assert getattr(nicolai, alias.asname or alias.name) is getattr(home, alias.name)
+
+
+def test_readme_private_names_exist():
+    # every private name the README quotes is defined in the package
+    source = "\n".join(path.read_text() for path in PACKAGE.glob("*.py"))
+    quoted = set(re.findall(r"`(_[A-Za-z]\w*)", (ROOT / "README.md").read_text()))
+    assert quoted
+    for name in sorted(quoted):
+        assert re.search(rf"^\s*(def|class) {name}\b|^{name} =", source, re.M), name

@@ -1,20 +1,23 @@
 """The batched checks of the verify suites against their one-item-at-a-time
 oracles, with planted faults that each batched check must catch."""
 
+import dataclasses
+import json
 import random
 
 import numpy as np
 import pytest
 
-from nicolai import fock, verify
+from nicolai import charges, fock, verify
 from nicolai.charges import (
     ConservationSequence,
-    _charge_stacks,
+    _charge_stack,
     charge_monomial,
     enumerate_union,
     verify_annihilation,
     verify_commutation,
 )
+from nicolai.cli import main
 from nicolai.fock import FermionMonomial, IntegerSparseOperator, build_matrix
 from nicolai.model import build_supercharge
 from oracles import (
@@ -133,31 +136,50 @@ def test_a_missing_ground_config_fails_the_classification(monkeypatch):
     assert not checks[0].passed and checks[1].passed
 
 
-def test_grouped_charge_checks_match_one_group(monkeypatch):
-    # four blocks per wide matrix: groups of two sequences, each laid beside
-    # its transposes; a corrupted sequence in any group fails both checks
+def test_charge_checks_refuse_a_stack_beyond_the_block_limit(monkeypatch, capsys):
+    # a corrupted sequence anywhere in the one wide stack fails both checks;
+    # a stack whose charges and transposes exceed the block limit is refused,
+    # also on the command line, as a resource limit
     m = build_supercharge((0, 3), "open")
     union = enumerate_union(0, 3)
     corrupted = ConservationSequence.from_string(0, 2, "+----", check=False)
     assert verify_commutation(union, m) and verify_annihilation(union, m.window)
-    monkeypatch.setattr(fock, "_max_blocks", lambda window: 4)
-    stacks = _charge_stacks(union, m.window)
-    assert len(stacks) == len(union) // 2
-    assert verify_commutation(union, m, stacks) and verify_annihilation(union, m.window, stacks)
     for at in (0, 1, 17, len(union)):
         sequences = union[:at] + [corrupted] + union[at:]
         assert not verify_commutation(sequences, m)
         assert not verify_annihilation(sequences, m.window)
+    monkeypatch.setattr(charges, "_max_blocks", lambda window: 2 * len(union) - 1)
+    with pytest.raises(OverflowError):
+        _charge_stack(union, m.window)
+    assert _charge_stack(union[1:], m.window)[0].size
+    monkeypatch.setattr(charges, "_max_blocks", lambda window: 4)
+    code, out = main(["verify", "charges", "--n", "2"]), capsys.readouterr().out
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "failure"
+    assert doc["payload"]["code"] == "resource-limit"
 
 
-def test_charge_stacks_hold_each_charge_and_its_transpose():
+def test_charge_stack_holds_each_charge_and_its_transpose():
     m = build_supercharge((0, 2), "open")
     union = enumerate_union(0, 2)
-    ((s, st),) = _charge_stacks(union, m.window)
+    key, vals = _charge_stack(union, m.window)
     size = m.window.size
+    assert (np.diff(key) > 0).all() and key[-1] >> (2 * size) == 2 * len(union) - 1
     for t, f in enumerate(union):
         charge = build_matrix(charge_monomial(f), m.window)
-        for (key, vals), expected in ((s, charge), (st, charge.transpose())):
-            mine = key >> (2 * size) == t
-            assert np.array_equal(key[mine] - (t << 2 * size), expected.key)
+        for block, expected in ((t, charge), (len(union) + t, charge.transpose())):
+            mine = key >> (2 * size) == block
+            assert np.array_equal(key[mine] - (block << 2 * size), expected.key)
             assert np.array_equal(vals[mine], expected.vals)
+
+
+def test_each_commutation_comparison_catches_its_family():
+    # a one-entry diagonal added to H breaks only H S = (H Sᵀ)ᵀ; added to Q*
+    # or Q, it breaks the two comparisons that read both supercharges
+    m = build_supercharge((0, 3), "open")
+    union = enumerate_union(0, 3)
+    assert verify_commutation(union, m)
+    d = IntegerSparseOperator.diagonal(m.window, [0, 1] + [0] * (m.window.dimension - 2))
+    for field in ("H", "Qdag", "Q"):
+        broken = dataclasses.replace(m, **{field: getattr(m, field) + d})
+        assert not verify_commutation(union, broken), field
