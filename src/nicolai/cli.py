@@ -6,21 +6,27 @@ Every command prints a single result document to stdout:
 
 (or CSV for tabular payloads with ``--format csv``).  Exit codes: 0 ok,
 1 verification/replay failure, 2 usage error, 3 resource limit exceeded.
-A command line the parser rejects gives a usage-error document too, with the
-raw ``argv`` as its params and ``command`` null; only ``--help`` prints text.
 Payloads are deterministic for identical inputs; only ``elapsed_ms`` varies.
+
+The command line is read from one table, ``_GLOBAL_OPTIONS`` and
+``_COMMANDS``: global flags first, then the command, its positional and its
+options in any order.  An option takes ``--name value`` or ``--name=value``
+under its exact name (no abbreviations); its value may start with ``-``, and a
+repeated option keeps its last value.  ``-h``/``--help`` at either level
+prints usage text and exits 0.  Any other line the parser rejects gives a
+usage-error document, with the raw ``argv`` as its params and ``command`` null.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
 import time
 from dataclasses import replace
-from typing import Optional
+from types import SimpleNamespace
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,17 +68,6 @@ class _CommandFailure(Exception):
         super().__init__(reason)
         self.code = code
         self.reason = reason
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports bad input as a usage-error document.
-
-    ``--help`` still prints the usage text and exits 0.  Subparsers inherit
-    this class, so a bad subcommand argument is caught the same way.
-    """
-
-    def error(self, message):
-        raise _CommandFailure(_EXIT_USAGE, f"{self.prog}: {message}")
 
 
 class _JSONText:
@@ -315,60 +310,116 @@ def _cmd_replay(args) -> tuple:
     ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nicolai",
-        description="Exact finite-interval computations for the Nicolai fermion chain.",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument(
-        "--max-dim", type=int, default=1 << 19, help="largest allowed matrix dimension"
-    )
-    parser.add_argument("--output", help="write the result document to this file")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line as data.  An option maps to its reader (``int``, ``str`` or a
+# tuple of choices) and its default, or ``_REQUIRED``; a command maps to its
+# handler, its help line, its ``(name, choices)`` positional or None, and its
+# options.
+_REQUIRED = object()
 
-    p = sub.add_parser("enumerate", help="list ground configs or conservation sequences")
-    p.add_argument("kind", choices=("ground-configs", "charges"))
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_enumerate)
+_GLOBAL_OPTIONS = {
+    "--format": (("json", "csv"), "json"),
+    "--seed": (int, 0),
+    "--max-dim": (int, 1 << 19),
+    "--output": (str, None),
+}
 
-    p = sub.add_parser("count", help="count open-boundary ground configurations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("transfer", "enumerate", "both"), default="both")
-    p.set_defaults(handler=_cmd_count)
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, "list ground configs or conservation sequences",
+                  ("kind", ("ground-configs", "charges")), {"--n": (int, _REQUIRED)}),
+    "count": (_cmd_count, "count open-boundary ground configurations", None,
+              {"--n": (int, _REQUIRED), "--method": (("transfer", "enumerate", "both"), "both")}),
+    "verify": (_cmd_verify, "run an exact verification suite", ("suite", SUITES),
+               {"--n": (int, None)}),
+    "spectrum": (_cmd_spectrum, "eigenvalues and exact kernel dimension", None,
+                 {"--n": (int, _REQUIRED), "--edge": (("open", "closed"), "open"),
+                  "--sector": (str, "all")}),
+    "generate": (_cmd_generate, "find a charge word reaching a ground config", None,
+                 {"--n": (int, _REQUIRED), "--target": (str, _REQUIRED),
+                  "--start": (("fock", "occupied"), "fock")}),
+    "replay": (_cmd_replay, "replay a serialized generation word", None,
+               {"--word": (str, _REQUIRED)}),
+}
 
-    p = sub.add_parser("verify", help="run an exact verification suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--n", type=int)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and exact kernel dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--edge", choices=("open", "closed"), default="open")
-    p.add_argument("--sector", default="all")
-    p.set_defaults(handler=_cmd_spectrum)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    p = sub.add_parser("generate", help="find a charge word reaching a ground config")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--start", choices=("fock", "occupied"), default="fock")
-    p.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("replay", help="replay a serialized generation word")
-    p.add_argument("--word", required=True, help="path to the word JSON, or - for stdin")
-    p.set_defaults(handler=_cmd_replay)
+def _defaults(options: dict) -> dict:
+    return {_dest(name): default for name, (_, default) in options.items()}
 
-    return parser
+
+def _help(command: Optional[str]) -> str:
+    """The usage text of ``nicolai`` (``command`` None) or of one command."""
+    if command is None:
+        prog, options, choices = "nicolai", _GLOBAL_OPTIONS, tuple(_COMMANDS)
+        about = "Exact finite-interval computations for the Nicolai fermion chain.\n\ncommands:"
+        about += "".join(f"\n  {name:<10} {entry[1]}" for name, entry in _COMMANDS.items())
+    else:
+        _, about, positional, options = _COMMANDS[command]
+        prog, choices = f"nicolai {command}", positional[1] if positional else ()
+    words = [prog]
+    for name, (reader, default) in options.items():
+        meta = "{" + ",".join(reader) + "}" if isinstance(reader, tuple) else _dest(name).upper()
+        words.append(f"{name} {meta}" if default is _REQUIRED else f"[{name} {meta}]")
+    words += ["{" + ",".join(choices) + "}"] if choices else []
+    words += ["..."] if command is None else []
+    return f"usage: {' '.join(words)}\n\n{about}\n"
+
+
+def _parse(argv: List[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``_GLOBAL_OPTIONS`` and ``_COMMANDS`` in the grammar
+    of the module docstring; a bad line raises a usage ``_CommandFailure``."""
+    prog, command, options = "nicolai", None, _GLOBAL_OPTIONS
+    positional = ("command", tuple(_COMMANDS))
+    args = SimpleNamespace(**_defaults(options))
+
+    def reject(message):
+        return _CommandFailure(_EXIT_USAGE, f"{prog}: {message}")
+
+    def read(label, reader, value):
+        if not isinstance(reader, tuple):
+            try:
+                return reader(value)
+            except ValueError:
+                raise reject(f"argument {label}: invalid {reader.__name__} value: {value!r}")
+        if value not in reader:
+            raise reject(f"argument {label}: invalid choice: {value!r}")
+        return value
+
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        name, eq, value = token.partition("=")
+        if name in options:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise reject(f"argument {name}: expected one argument")
+            setattr(args, _dest(name), read(name, options[name][0], value))
+        elif positional is None or token.startswith("-"):
+            raise reject(f"unrecognized argument: {token}")
+        else:
+            setattr(args, positional[0], read(*positional, token))
+            positional = None
+            if command is None:
+                command, prog = token, f"nicolai {token}"
+                args.handler, _, positional, options = _COMMANDS[command]
+                vars(args).update(_defaults(options))
+    missing = [positional[0]] if positional else []
+    missing += [name for name in options if getattr(args, _dest(name)) is _REQUIRED]
+    if missing:
+        raise reject("the following arguments are required: " + ", ".join(missing))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except _CommandFailure as failure:
-        argv = sys.argv[1:] if argv is None else list(argv)
         return _emit_failure(None, {"argv": argv}, failure.reason, failure.code, started)
     params = {
         k: v

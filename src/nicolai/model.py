@@ -16,10 +16,10 @@ window: ``Q`` is nilpotent, odd under ``(-1)**N``, and ``H`` commutes with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count, repeat
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class SpectrumReport:
     sector: Union[int, str]
     eigenvalues: Tuple[float, ...]
     kernel_dimension: int
+    # ``eigenvalues`` as the sorted float64 array ``spectrum`` built them from,
+    # which the text methods read instead of converting the tuple back
+    _sorted: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -134,15 +137,18 @@ class SpectrumReport:
     def eigenvalues_json(self) -> str:
         """The compact JSON array of the eigenvalues, as ``json.dumps`` writes
         it, formatting each distinct value once."""
-        texts, lengths = _float_runs(self.eigenvalues)
+        texts, lengths = self._runs()
         return "[" + "".join((t + ",") * k for t, k in zip(texts, lengths))[:-1] + "]"
 
     def csv_text(self) -> str:
         """The ``index,eigenvalue`` table of ``to_csv_rows`` as CSV text,
         header first, formatting each distinct value once."""
-        texts, lengths = _float_runs(self.eigenvalues)
+        texts, lengths = self._runs()
         column = chain.from_iterable(map(repeat, texts, lengths))
         return "index,eigenvalue\n" + "".join(map("{},{}\n".format, count(), column))
+
+    def _runs(self) -> Tuple[List[str], List[int]]:
+        return _float_runs(self.eigenvalues if self._sorted is None else self._sorted)
 
 
 def _float_runs(values: Sequence[float]) -> Tuple[List[str], List[int]]:
@@ -255,10 +261,13 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
             rows = [{c: v for c, v in enumerate(row) if v} for row in block]
             kdim += count * (block_size - integer_rank(rows))
     label: Union[int, str] = "all" if sector == "all" else int(sector)
+    values = np.sort(np.concatenate(eigs))
+    values.flags.writeable = False
     return SpectrumReport(
         interval=(m.interval.k, m.interval.l),
         edge_mode=m.edge_mode,
         sector=label,
-        eigenvalues=tuple(np.sort(np.concatenate(eigs)).tolist()),
+        eigenvalues=tuple(values.tolist()),
         kernel_dimension=kdim,
+        _sorted=values,
     )

@@ -739,6 +739,13 @@ def test_enumerate_keeps_its_failure_documents(capsys, kind, fmt):
     ("generate", "--n", "abc", "--target", "000"),
     ("frobnicate",),
     (),
+    ("count", "--n", "3", "--bogus", "1"),
+    ("count", "--n"),
+    ("count", "--n", "3", "--format", "csv"),
+    ("count", "--n", "3", "--meth", "both"),
+    ("verify",),
+    ("--seed", "x", "count", "--n", "3"),
+    ("count", "--n", "3", "extra"),
 ])
 def test_bad_command_line_is_usage_error_document(capsys, argv):
     code = main(list(argv))
@@ -757,6 +764,148 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: nicolai")
 
 
+def test_help_lists_the_commands_and_global_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for name in ("enumerate", "count", "verify", "spectrum", "generate", "replay"):
+        assert re.search(rf"^ +{name} +\S", out, re.M), name
+    for flag in ("--format", "--seed", "--max-dim", "--output"):
+        assert flag in out
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["spectrum", "--help"], "--edge {open,closed}"),
+    (["spectrum", "--n", "3", "-h"], "--sector SECTOR"),
+    (["verify", "algebra", "--help"], "{algebra,charges,classification,fixtures}"),
+    (["count", "-h"], "--method {transfer,enumerate,both}"),
+])
+def test_command_help_exits_zero(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: nicolai {argv[0]}") and shown in out
+
+
+# -- the command-line grammar, pinned to the argparse front end it replaced ----
+
+_GEN_FOCK = ["generate", "--n", "8", "--target", "00000000000000000", "--start", "fock"]
+
+
+@pytest.mark.parametrize("argv, code, params", [
+    # README examples
+    (["enumerate", "ground-configs", "--n", "2"], 0,
+     {"command": "enumerate", "kind": "ground-configs", "n": 2, "seed": 0}),
+    (["enumerate", "charges", "--n", "1"], 0,
+     {"command": "enumerate", "kind": "charges", "n": 1, "seed": 0}),
+    (["count", "--n", "8"], 0, {"command": "count", "method": "both", "n": 8, "seed": 0}),
+    (["verify", "algebra", "--n", "3"], 0,
+     {"command": "verify", "suite": "algebra", "n": 3, "seed": 0}),
+    (["verify", "charges", "--n", "4"], 0,
+     {"command": "verify", "suite": "charges", "n": 4, "seed": 0}),
+    (["verify", "classification", "--n", "4"], 0,
+     {"command": "verify", "suite": "classification", "n": 4, "seed": 0}),
+    (["verify", "fixtures"], 0, {"command": "verify", "suite": "fixtures", "seed": 0}),
+    (["spectrum", "--n", "2", "--edge", "open", "--sector", "3"], 0,
+     {"command": "spectrum", "edge": "open", "n": 2, "sector": "3", "seed": 0}),
+    (["generate", "--n", "2", "--target", "00011", "--start", "fock"], 0,
+     {"command": "generate", "n": 2, "seed": 0, "start": "fock", "target": "00011"}),
+    (["replay", "--word", "WORD"], 0, {"command": "replay", "seed": 0, "word": "WORD"}),
+    # benchmark commands
+    (["spectrum", "--n", "5", "--edge", "open"], 0,
+     {"command": "spectrum", "edge": "open", "n": 5, "sector": "all", "seed": 0}),
+    (["spectrum", "--n", "6", "--edge", "closed"], 0,
+     {"command": "spectrum", "edge": "closed", "n": 6, "sector": "all", "seed": 0}),
+    (["verify", "algebra", "--n", "4"], 0,
+     {"command": "verify", "suite": "algebra", "n": 4, "seed": 0}),
+    (["count", "--n", "12"], 0, {"command": "count", "method": "both", "n": 12, "seed": 0}),
+    (["enumerate", "charges", "--n", "10"], 0,
+     {"command": "enumerate", "kind": "charges", "n": 10, "seed": 0}),
+    (_GEN_FOCK, 0, {"command": "generate", "n": 8, "seed": 0, "start": "fock",
+                    "target": "00000000000000000"}),
+    (["generate", "--n", "8", "--target", "11111111000000000", "--start", "occupied"], 0,
+     {"command": "generate", "n": 8, "seed": 0, "start": "occupied",
+      "target": "11111111000000000"}),
+    # global flags
+    (["--format", "csv", "enumerate", "charges", "--n", "13"], 3,
+     {"command": "enumerate", "kind": "charges", "n": 13, "seed": 0}),
+    (["--format", "json", "count", "--n", "3"], 0,
+     {"command": "count", "method": "both", "n": 3, "seed": 0}),
+    (["--seed", "7", "verify", "algebra", "--n", "2"], 0,
+     {"command": "verify", "suite": "algebra", "n": 2, "seed": 7}),
+    (["--max-dim", "100", "spectrum", "--n", "3"], 3,
+     {"command": "spectrum", "edge": "open", "n": 3, "sector": "all", "seed": 0}),
+    (["--output", "OUT", "count", "--n", "3"], 0,
+     {"command": "count", "method": "both", "n": 3, "seed": 0}),
+    (["--seed=5", "--max-dim=64", "--output=OUT", "--format=json", "count", "--n", "2"], 0,
+     {"command": "count", "method": "both", "n": 2, "seed": 5}),
+    # --name=value, repeated options, values that start with "-"
+    (["spectrum", "--n=3", "--edge=closed"], 0,
+     {"command": "spectrum", "edge": "closed", "n": 3, "sector": "all", "seed": 0}),
+    (["count", "--n", "3", "--method", "enumerate", "--n", "4"], 0,
+     {"command": "count", "method": "enumerate", "n": 4, "seed": 0}),
+    (["count", "--n", "-1"], 2, {"command": "count", "method": "both", "n": -1, "seed": 0}),
+    (["spectrum", "--n", "3", "--sector", "-1"], 2,
+     {"command": "spectrum", "edge": "open", "n": 3, "sector": "-1", "seed": 0}),
+    (["verify", "--n", "2", "charges"], 0,
+     {"command": "verify", "suite": "charges", "n": 2, "seed": 0}),
+    (["replay", "--word", "-"], 0, {"command": "replay", "seed": 0, "word": "-"}),
+])
+def test_command_line_params_pinned(capsys, monkeypatch, tmp_path, argv, code, params):
+    word, out_path = tmp_path / "word.json", tmp_path / "out.json"
+
+    def fill(value):
+        if not isinstance(value, str):
+            return value
+        return value.replace("WORD", str(word)).replace("OUT", str(out_path))
+
+    if "replay" in argv:
+        assert main(["--output", str(word)] + _GEN_FOCK) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(word.read_text()))
+    assert main([fill(a) for a in argv]) == code
+    out = capsys.readouterr().out
+    doc = json.loads(out_path.read_text() if any("OUT" in a for a in argv) else out)
+    assert doc["params"] == {k: fill(v) for k, v in params.items()}
+
+
+def test_commands_import_no_argument_parser():
+    src = str(Path(nicolai.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from nicolai.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['count', '--n', '3']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line[:1] == ["nicolai"]]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) >= 10 and ["replay", "--word", "word.json"] in lines
+    for argv in lines:
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if target is not None:
+            (tmp_path / target).write_text(out)
 def _run_quietly(argv, stdin_text=""):
     """Run ``main`` in process; return its exit code and stdout."""
     out = io.StringIO()
