@@ -19,12 +19,10 @@ import numpy as np
 
 from .fock import (
     FermionMonomial,
+    IntegerSparseOperator,
     SiteWindow,
     _build_stack,
     _max_blocks,
-    _product,
-    _reflects,
-    _transpose_blocks,
     build_matrix,
 )
 from .model import ModelOperators, supercharge_term
@@ -224,16 +222,15 @@ def enumerate_union(p: int, q: int) -> List[ConservationSequence]:
 
 def charge_monomial(f: ConservationSequence) -> FermionMonomial:
     """The charge monomial of ``f``: increasing-order product of ``c``/``c*``."""
-    factors = [(site, f.value_at(site) == 1) for site in f.sites]
-    return FermionMonomial.increasing(factors)
+    return FermionMonomial.increasing([(s, v == 1) for s, v in zip(f.sites, f.values)])
 
 
 def _charge_stack(sequences: Sequence[ConservationSequence], window: SiteWindow):
     """The sequences' charge matrices on ``window``, which must contain every
-    sequence interval, and their transposes, laid side by side as one
-    canonical wide ``(key, vals)`` ``W = [S | Sᵀ]``: block ``t`` is
-    ``Q(f_t)`` and block ``len(sequences) + t`` its transpose.  More blocks
-    than ``fock._max_blocks`` raise ``OverflowError``."""
+    sequence interval, and their transposes, laid side by side as one wide
+    operator ``W = [S | Sᵀ]``: block ``t`` is ``Q(f_t)`` and block
+    ``len(sequences) + t`` its transpose.  More blocks than
+    ``fock._max_blocks`` raise ``OverflowError``."""
     for f in sequences:
         if not (window.lo <= 2 * f.k and 2 * f.l <= window.hi):
             raise ValueError("window does not contain the sequence interval")
@@ -241,15 +238,15 @@ def _charge_stack(sequences: Sequence[ConservationSequence], window: SiteWindow)
     if blocks > _max_blocks(window):
         raise OverflowError(f"{blocks} blocks do not fit a window of {window.size} sites")
     s = _build_stack([charge_monomial(f) for f in sequences], window)
-    st_key, st_vals = _transpose_blocks(window, *s)
-    shift = len(sequences) << (2 * window.size)
-    return np.concatenate((s[0], st_key + shift)), np.concatenate((s[1], st_vals))
+    st = s.transpose()
+    key = np.concatenate((s.key, st.key + (len(sequences) << (2 * window.size))))
+    return IntegerSparseOperator._wrap(window, key, np.concatenate((s.vals, st.vals)))
 
 
 def verify_annihilation(
     sequences: Sequence[ConservationSequence],
     window: SiteWindow,
-    stack: Optional[tuple] = None,
+    stack: Optional[IntegerSparseOperator] = None,
 ) -> bool:
     """Exactly check that every charge kills every local supercharge term.
 
@@ -265,20 +262,21 @@ def verify_annihilation(
     ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.  ``stack`` is
     ``_charge_stack(sequences, window)``, when already built.
     """
-    key, vals = _charge_stack(sequences, window) if stack is None else stack
+    w = _charge_stack(sequences, window) if stack is None else stack
     # 2i-1 >= lo and the triplet meets [2k..2l]; 2i+1 <= hi
     first = np.array([max((window.lo + 2) // 2, f.k) for f in sequences] * 2)
     last = np.array([min((window.hi - 1) // 2, f.l) for f in sequences] * 2)
     if not first.size:
         return True
-    block = key >> (2 * window.size)
+    block = w.key >> (2 * window.size)
     entry_first, entry_last = first[block], last[block]
     for i in range(first.min(), last.max() + 1):
         meets = (entry_first <= i) & (i <= entry_last)
         if not meets.any():
             continue
-        term, picked = build_matrix(supercharge_term(i), window), (key[meets], vals[meets])
-        if any(_product(q, *picked)[0].size for q in (term, term.adjoint())):
+        term = build_matrix(supercharge_term(i), window)
+        picked = IntegerSparseOperator._wrap(window, w.key[meets], w.vals[meets])
+        if any((q @ picked).nnz for q in (term, term.adjoint())):
             return False
     return True
 
@@ -286,20 +284,20 @@ def verify_annihilation(
 def verify_commutation(
     sequences: Sequence[ConservationSequence],
     m: ModelOperators,
-    stack: Optional[tuple] = None,
+    stack: Optional[IntegerSparseOperator] = None,
 ) -> bool:
     """Exactly check the conservation law of every charge against a
     finite-interval model.
 
     Requires ``[H, Q(f)] = [H, Q(f)*] = 0`` and the stronger anticommutation
     of the charge with both supercharges.  The charges and their transposes
-    are laid side by side as one wide matrix ``W = [S | Sᵀ]`` (see
+    are laid side by side as one wide operator ``W = [S | Sᵀ]`` (see
     ``_charge_stack``).  Three wide products ``Q W``, ``Q* W`` and ``H W``
     each split where the ``Sᵀ`` half begins.  With ``C x = (xᵀ Cᵀ)ᵀ``,
-    ``Qᵀ = Q*`` and ``Hᵀ = H``, three comparisons of whole arrays then decide
-    all four identities, ``ᵀ`` transposing every block: ``Q S = -(Q* Sᵀ)ᵀ``,
-    ``Q* S = -(Q Sᵀ)ᵀ`` and ``H S = (H Sᵀ)ᵀ``; the last is ``[H, Q(f)] = 0``,
-    and its transpose ``[H, Q(f)*] = 0``.  ``stack`` is
+    ``Qᵀ = Q*`` and ``Hᵀ = H``, three comparisons of whole operators then
+    decide all four identities, ``ᵀ`` transposing every block:
+    ``Q S = -(Q* Sᵀ)ᵀ``, ``Q* S = -(Q Sᵀ)ᵀ`` and ``H S = (H Sᵀ)ᵀ``; the last
+    is ``[H, Q(f)] = 0``, and its transpose ``[H, Q(f)*] = 0``.  ``stack`` is
     ``_charge_stack(sequences, m.window)``, when already built.
     """
     w = m.window
@@ -307,13 +305,14 @@ def verify_commutation(
     shift = len(sequences) << (2 * w.size)
 
     def halves(x):
-        key, vals = _product(x, *stack)
-        at = np.searchsorted(key, shift)
-        return (key[:at], vals[:at]), (key[at:] - shift, vals[at:])
+        p = x @ stack
+        at = np.searchsorted(p.key, shift)
+        wrap = IntegerSparseOperator._wrap
+        return wrap(w, p.key[:at], p.vals[:at]), wrap(w, p.key[at:] - shift, p.vals[at:])
 
     (q_s, q_st), (qdag_s, qdag_st), (h_s, h_st) = (halves(x) for x in (m.Q, m.Qdag, m.H))
     return (
-        _reflects(w, q_s, qdag_st, -1)
-        and _reflects(w, qdag_s, q_st, -1)
-        and _reflects(w, h_s, h_st, 1)
+        q_s == -qdag_st.transpose()
+        and qdag_s == -q_st.transpose()
+        and h_s == h_st.transpose()
     )

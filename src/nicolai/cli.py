@@ -24,7 +24,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -247,9 +246,7 @@ def _cmd_spectrum(args) -> tuple:
     report = spectrum(build_supercharge(interval, args.edge), sector)
     if args.format == "csv":
         return None, report.csv_text()
-    payload = replace(report, eigenvalues=()).to_json()  # the layout, no per-state list
-    payload["eigenvalues"] = _JSONText(report.eigenvalues_json())
-    return payload, None
+    return report.to_json(_JSONText(report.eigenvalues_json())), None
 
 
 def _cmd_generate(args) -> tuple:

@@ -256,12 +256,15 @@ class IntegerSparseOperator:
         """Operator with entries ``vals`` at packed positions ``key``.
 
         Keys may come in any order and repeat: repeated keys are summed and
-        zero entries dropped.  Every entry, and with repeated keys every sum,
-        must be certified below ``_INT64_SAFE`` in magnitude.
+        zero entries dropped.  Every key must lie in ``[0, dim**2)``, and every
+        entry, and with repeated keys every sum, must be certified below
+        ``_INT64_SAFE`` in magnitude.
         """
         if window.size > _MAX_SIZE:
             raise ValueError(f"window of {window.size} sites is too large for packed keys")
         key, vals = np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
+        if (key >> (2 * window.size)).any():
+            raise ValueError("operator position outside the window")
         bound = _bound(vals)
         if bound >= _INT64_SAFE or (
             bound * vals.size >= _INT64_SAFE and not np.diff(np.sort(key)).all()
@@ -272,7 +275,7 @@ class IntegerSparseOperator:
 
     @classmethod
     def _wrap(cls, window: SiteWindow, key: np.ndarray, vals: np.ndarray):
-        """Operator from arrays already in canonical form."""
+        """Operator from arrays already in canonical form, possibly wide."""
         op = cls.__new__(cls)
         op.window, op.key, op.vals = window, key, vals
         return op
@@ -286,6 +289,8 @@ class IntegerSparseOperator:
     @classmethod
     def diagonal(cls, window: SiteWindow, diag) -> "IntegerSparseOperator":
         diag = np.asarray(diag, dtype=np.int64)
+        if diag.size != window.dimension:
+            raise ValueError(f"a diagonal on this window has {window.dimension} entries")
         return cls(window, np.arange(diag.size, dtype=np.int64) * (window.dimension + 1), diag)
 
     @classmethod
@@ -293,6 +298,9 @@ class IntegerSparseOperator:
         rows = np.fromiter((r for r, _ in entries), dtype=np.int64, count=len(entries))
         cols = np.fromiter((c for _, c in entries), dtype=np.int64, count=len(entries))
         vals = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
+        # checked apart, as row dim of col 0 would pack to the in-range key dim
+        if ((rows | cols) >> window.size).any():
+            raise ValueError("operator position outside the window")
         return cls(window, (cols << window.size) | rows, vals)
 
     # -- inspection ----------------------------------------------------------
@@ -358,21 +366,39 @@ class IntegerSparseOperator:
         return IntegerSparseOperator._wrap(self.window, self.key, self.vals * np.int64(c))
 
     def transpose(self) -> "IntegerSparseOperator":
-        key, vals = _transpose_blocks(self.window, self.key, self.vals)
-        return IntegerSparseOperator._wrap(self.window, key, vals)
+        """The transpose; a wide operator (see ``_build_stack``) has each of
+        its blocks transposed in place."""
+        size, mask, key = self.window.size, self.window.dimension - 1, self.key
+        flipped = (key >> (2 * size) << (2 * size)) | (key & mask) << size | (key >> size) & mask
+        return IntegerSparseOperator._wrap(self.window, *_canonical(flipped, self.vals))
 
     # Entries are integers, so the adjoint is the transpose.
     adjoint = transpose
 
     def __matmul__(self, other: "IntegerSparseOperator") -> "IntegerSparseOperator":
+        """The exact product; ``other`` may be wide (see ``_build_stack``), and
+        ``a @ [b_0 | b_1 | ...]`` is ``[a b_0 | a b_1 | ...]``; a wide ``a``
+        raises ``ValueError``.
+
+        Raises ``OverflowError`` unless int64 holds every entry and partial
+        sum: an entry sums at most ``dim`` terms, so ``dim * |a| * max |b|``
+        must lie below ``_INT64_SAFE``.
+        """
         self._check_window(other)
-        key, vals = _product(self, other.key, other.vals)
+        if self.key.size and self.key[-1] >> (2 * self.window.size):
+            raise ValueError("a wide operator is only a right factor")
+        if self.window.dimension * self.entry_bound() * other.entry_bound() >= _INT64_SAFE:
+            raise OverflowError("operator product exceeds the certified int64 range")
+        key, vals = _assemble(_product_pieces(self, other))
         return IntegerSparseOperator._wrap(self.window, key, vals)
 
     def apply(self, v: FockVector) -> FockVector:
-        """Exact matrix-vector product (big-integer arithmetic)."""
+        """Exact matrix-vector product (big-integer arithmetic); a wide operator
+        raises ``ValueError``."""
         if v.window != self.window:
             raise ValueError("window mismatch")
+        if self.key.size and self.key[-1] >> (2 * self.window.size):
+            raise ValueError("a wide operator acts on no vector")
         size = self.window.size
         cols = np.fromiter(v.amplitudes, dtype=np.int64, count=len(v.amplitudes))
         lo = np.searchsorted(self.key, cols << size).tolist()
@@ -432,42 +458,15 @@ def _sum_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
         )
 
 
-def _product(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
-    """The canonical ``(key, vals)`` of ``a`` times the (possibly wide, see
-    ``_build_stack``) matrix with canonical ``(b_key, b_vals)``.
-
-    Raises ``OverflowError`` unless int64 holds every entry and partial sum:
-    an entry sums at most ``dim`` terms, so ``dim * |a| * max |b|`` must lie
-    below ``_INT64_SAFE``.
-    """
-    if a.window.dimension * a.entry_bound() * _bound(b_vals) >= _INT64_SAFE:
-        raise OverflowError("operator product exceeds the certified int64 range")
-    return _assemble(_product_pieces(a, b_key, b_vals))
-
-
 def _max_blocks(window: SiteWindow) -> int:
     """How many blocks a wide matrix on ``window`` holds: block ``t`` adds
     ``t << 2 * size`` to its packed keys, which must stay below ``2**62``."""
     return 1 << (62 - 2 * window.size)
 
 
-def _transpose_blocks(window: SiteWindow, key: np.ndarray, vals: np.ndarray):
-    """A wide matrix with every block transposed (one block: the plain transpose)."""
-    size, mask = window.size, window.dimension - 1
-    blocks = key >> (2 * size) << (2 * size)
-    return _canonical(blocks | ((key & mask) << size) | ((key >> size) & mask), vals)
-
-
-def _reflects(window: SiteWindow, x: tuple, y: tuple, sign: int) -> bool:
-    """Whether the wide matrix ``x`` is ``sign`` times the wide matrix ``y``
-    with every block transposed, both given as canonical ``(key, vals)``."""
-    key, vals = _transpose_blocks(window, *y)
-    return np.array_equal(x[0], key) and np.array_equal(x[1], sign * vals)
-
-
-def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndarray):
-    """The terms of ``a @ b`` as packed keys and int64 values, for ``b`` given
-    by its canonical, possibly wide, ``(b_key, b_vals)``.
+def _product_pieces(a: IntegerSparseOperator, b: IntegerSparseOperator):
+    """The terms of ``a @ b`` as packed keys and int64 values, for a square
+    ``a`` and a possibly wide ``b``.
 
     Every entry ``(k, j)`` of ``b`` pairs with the whole column ``k`` of ``a``,
     a contiguous run of ``a.key``.  ``b``'s columns are expanded in chunks of
@@ -475,11 +474,11 @@ def _product_pieces(a: IntegerSparseOperator, b_key: np.ndarray, b_vals: np.ndar
     columns of the result, so the chunks' key ranges are disjoint and
     ascending.
     """
-    if b_key.size == 0:
-        yield b_key, b_vals
+    if b.nnz == 0:
+        yield b.key, b.vals
         return
     size = a.window.size
-    b_rows, b_cols = b_key & (a.window.dimension - 1), b_key >> size
+    b_rows, b_cols, b_vals = b.rows, b.cols, b.vals
     a_col_nnz = np.bincount(a.cols, minlength=a.window.dimension)
     counts = a_col_nnz[b_rows]
     lo = np.cumsum(a_col_nnz)[b_rows] - counts  # where column b_rows of a starts
@@ -561,9 +560,9 @@ def _closed_form_entries(monomials, window: SiteWindow):
     return cols << size | cols ^ flip, scale * (1 - 2 * odd), counts
 
 
-def _build_stack(monomials, window: SiteWindow):
-    """The wide matrix ``[m_0 | m_1 | ...]`` of the monomials' matrices on
-    ``window``, as one canonical ``(key, vals)``.
+def _build_stack(monomials, window: SiteWindow) -> IntegerSparseOperator:
+    """The wide operator ``[m_0 | m_1 | ...]`` of the monomials' matrices on
+    ``window``.
 
     Block ``t`` holds ``m_t``'s packed keys plus ``t << 2 * size``: its columns
     are ``t * dim`` on, and the blocks follow each other in key order.  Each
@@ -575,7 +574,7 @@ def _build_stack(monomials, window: SiteWindow):
         raise OverflowError(f"{len(monomials)} blocks do not fit a window of {window.size} sites")
     key, vals, counts = _closed_form_entries(monomials, window)
     blocks = np.arange(len(monomials), dtype=np.int64) << (2 * window.size)
-    return key | np.repeat(blocks, counts), vals
+    return IntegerSparseOperator._wrap(window, key | np.repeat(blocks, counts), vals)
 
 
 def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:

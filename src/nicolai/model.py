@@ -16,10 +16,10 @@ window: ``Q`` is nilpotent, odd under ``(-1)**N``, and ``H`` commutes with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, repeat
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,55 +111,62 @@ def build_supercharge(interval: Union[Interval, Tuple[int, int]], edge_mode: str
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues and exact kernel dimension of a sector (or the whole space)."""
+    """Eigenvalues and exact kernel dimension of a sector (or the whole space);
+    ``eigenvalues`` is kept as one read-only float64 array, sorted by ``spectrum``."""
 
     interval: Tuple[int, int]
     edge_mode: str
     sector: Union[int, str]
-    eigenvalues: Tuple[float, ...]
+    eigenvalues: np.ndarray
     kernel_dimension: int
-    # ``eigenvalues`` as the sorted float64 array ``spectrum`` built them from,
-    # which the text methods read instead of converting the tuple back
-    _sorted: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
-    def to_json(self) -> dict:
+    def __post_init__(self):
+        values = np.asarray(self.eigenvalues, dtype=np.float64).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumReport):
+            return NotImplemented
+        # the same layout, with the eigenvalue arrays compared apart
+        same_layout = self.to_json(()) == other.to_json(())
+        return same_layout and np.array_equal(self.eigenvalues, other.eigenvalues)
+
+    def to_json(self, eigenvalues=None) -> dict:
+        """The report as a JSON object; ``eigenvalues`` stands in for their list."""
         return {
             "interval": list(self.interval),
             "edge_mode": self.edge_mode,
             "sector": self.sector,
-            "eigenvalues": list(self.eigenvalues),
+            "eigenvalues": self.eigenvalues.tolist() if eigenvalues is None else eigenvalues,
             "kernel_dimension": self.kernel_dimension,
         }
 
     def to_csv_rows(self) -> List[Tuple[int, float]]:
-        return list(enumerate(self.eigenvalues))
+        return list(enumerate(self.eigenvalues.tolist()))
 
     def eigenvalues_json(self) -> str:
         """The compact JSON array of the eigenvalues, as ``json.dumps`` writes
         it, formatting each distinct value once."""
-        texts, lengths = self._runs()
+        texts, lengths = _float_runs(self.eigenvalues)
         return "[" + "".join((t + ",") * k for t, k in zip(texts, lengths))[:-1] + "]"
 
     def csv_text(self) -> str:
         """The ``index,eigenvalue`` table of ``to_csv_rows`` as CSV text,
         header first, formatting each distinct value once."""
-        texts, lengths = self._runs()
+        texts, lengths = _float_runs(self.eigenvalues)
         column = chain.from_iterable(map(repeat, texts, lengths))
         return "index,eigenvalue\n" + "".join(map("{},{}\n".format, count(), column))
 
-    def _runs(self) -> Tuple[List[str], List[int]]:
-        return _float_runs(self.eigenvalues if self._sorted is None else self._sorted)
 
-
-def _float_runs(values: Sequence[float]) -> Tuple[List[str], List[int]]:
-    """Split finite ``values`` into runs of one float64 bit pattern: each run's
-    text and its length.
+def _float_runs(a: np.ndarray) -> Tuple[List[str], List[int]]:
+    """Split the finite float64 array ``a`` into runs of one bit pattern: each
+    run's text and its length.
 
     Runs compare bits, not values, so ``-0.0`` and ``0.0`` never merge.  The
     text is ``repr``, which is also what ``json.dumps`` and ``str`` write for
     a finite float.
     """
-    a = np.asarray(values, dtype=np.float64)
     bits = a.view(np.int64)
     new = np.empty(a.size, dtype=bool)
     new[:1] = True
@@ -261,13 +268,10 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
             rows = [{c: v for c, v in enumerate(row) if v} for row in block]
             kdim += count * (block_size - integer_rank(rows))
     label: Union[int, str] = "all" if sector == "all" else int(sector)
-    values = np.sort(np.concatenate(eigs))
-    values.flags.writeable = False
     return SpectrumReport(
         interval=(m.interval.k, m.interval.l),
         edge_mode=m.edge_mode,
         sector=label,
-        eigenvalues=tuple(values.tolist()),
+        eigenvalues=np.sort(np.concatenate(eigs)),
         kernel_dimension=kdim,
-        _sorted=values,
     )

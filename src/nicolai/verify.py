@@ -28,7 +28,6 @@ from .fock import (
     IntegerSparseOperator,
     SiteWindow,
     _build_stack,
-    _reflects,
     anticommutator,
     commutator,
     number_operator,
@@ -67,7 +66,7 @@ def _random_monomial(rng: random.Random, window: SiteWindow, max_degree: int = 4
 def _adjoint_is_transpose(monos, adjoints, window: SiteWindow) -> bool:
     """Whether each ``adjoints[t]``'s matrix is the transpose of ``monos[t]``'s,
     by one comparison of two stacks (see ``fock._build_stack``)."""
-    return _reflects(window, _build_stack(adjoints, window), _build_stack(monos, window), 1)
+    return _build_stack(adjoints, window) == _build_stack(monos, window).transpose()
 
 
 def _block_diagonal(window: SiteWindow, small: SiteWindow, monos) -> IntegerSparseOperator:
@@ -75,11 +74,11 @@ def _block_diagonal(window: SiteWindow, small: SiteWindow, monos) -> IntegerSpar
     ``monos[t]``'s matrix on ``small``, the low sites of ``window``: the high
     bits of a state index its block.  The stack's keys ascend by block, column
     and row, so the moved keys stay canonical."""
-    key, vals = _build_stack(monos, small)
+    stack = _build_stack(monos, small)
     size, mask = small.size, small.dimension - 1
-    base = (key >> (2 * size)) << size
-    cols, rows = base | ((key >> size) & mask), base | (key & mask)
-    return IntegerSparseOperator._wrap(window, (cols << window.size) | rows, vals)
+    base = (stack.key >> (2 * size)) << size
+    cols, rows = base | ((stack.key >> size) & mask), base | (stack.key & mask)
+    return IntegerSparseOperator._wrap(window, (cols << window.size) | rows, stack.vals)
 
 
 def _leibniz_sides(
@@ -99,9 +98,10 @@ def _leibniz_sides(
     window = SiteWindow(small.lo, small.hi + high)
     firsts, seconds, thirds = zip(*triples)
     a, b, c = (_block_diagonal(window, small, xs) for xs in (firsts, seconds, thirds))
+    unused = [1] * ((1 << high) - len(triples))  # the blocks no triple fills
     sb, sc = (
         IntegerSparseOperator.diagonal(
-            window, np.repeat([1 - 2 * (x.degree % 2) for x in xs], small.dimension)
+            window, np.repeat([1 - 2 * (x.degree % 2) for x in xs] + unused, small.dimension)
         )
         for xs in (seconds, thirds)
     )

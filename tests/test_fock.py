@@ -344,6 +344,42 @@ def test_entries_at_the_int64_bound_are_refused():
     assert IntegerSparseOperator(w, [3, 0], [1 << 61, 1 << 61]).entry_bound() == 1 << 61
 
 
+def test_positions_outside_the_window_are_refused():
+    # on a 2-site window (dim 4) these once packed into wrong in-range entries:
+    # row 4 of col 0 read back as (0, 1), key -1 as (3, -1), a fifth diagonal
+    # entry landed at (0, 5)
+    w = SiteWindow(0, 1)
+    for entries in ({(4, 0): 1}, {(0, 4): 1}, {(-1, 0): 1}, {(0, -1): 1}):
+        with pytest.raises(ValueError):
+            IntegerSparseOperator.from_entries(w, entries)
+    for key in (-1, 16, 1 << 40):
+        with pytest.raises(ValueError):
+            IntegerSparseOperator(w, [0, key], [1, 1])
+    for diag in ([1, 2, 3, 4, 5], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            IntegerSparseOperator.diagonal(w, diag)
+    corner = IntegerSparseOperator.from_entries(w, {(3, 3): 1, (0, 3): 2})
+    assert IntegerSparseOperator(w, [15, 12], [1, 2]) == corner
+    assert corner.entries() == {(0, 3): 2, (3, 3): 1}
+
+
+def test_wide_operators_are_right_factors_only():
+    # as a left factor or in apply, a wide operator would be read as its
+    # first block
+    w = SiteWindow(0, 2)
+    wide = fock._build_stack([FermionMonomial(1, ()), FermionMonomial(1, ((1, True),))], w)
+    square = _eye(w)
+    assert square @ wide == wide
+    for act in (lambda: wide @ square, lambda: wide @ wide,
+                lambda: wide.apply(FockVector.from_config(_cfg(w, "000")))):
+        with pytest.raises(ValueError):
+            act()
+    # a square operator acts as before; the zero operator is square
+    assert square.apply(FockVector.from_config(_cfg(w, "010"))).amplitudes == {2: 1}
+    zero = IntegerSparseOperator.zero(w)
+    assert (zero @ wide).is_zero() and zero.apply(FockVector.zero(w)).is_zero()
+
+
 def test_apply_matches_matmul_on_basis():
     rng = random.Random(29)
     w = SiteWindow(0, 3)
@@ -454,33 +490,31 @@ def _canonical_form(op):
     return bool(np.all(op.key[1:] > op.key[:-1]) and np.all(op.vals != 0))
 
 
-def _blocks(w, count, key, vals):
-    """The ``count`` operators laid side by side in the wide matrix ``(key, vals)``,
-    after checking that the wide matrix is canonical."""
-    assert np.all(key[1:] > key[:-1]) and np.all(vals != 0)
+def _blocks(w, count, wide):
+    """The ``count`` operators laid side by side in the wide operator ``wide``,
+    after checking that it is canonical."""
+    key, vals = wide.key, wide.vals
+    assert wide.window == w and np.all(key[1:] > key[:-1]) and np.all(vals != 0)
     block, low = key >> (2 * w.size), key & ((1 << (2 * w.size)) - 1)
     return [IntegerSparseOperator(w, low[block == t], vals[block == t]) for t in range(count)]
 
 
 def _stack(w, ops):
-    """The wide matrix ``[op_0 | op_1 | ...]`` of built operators, as one
-    canonical ``(key, vals)``: block ``t`` holds ``op_t``'s keys plus
-    ``t << 2 * size``."""
+    """The wide operator ``[op_0 | op_1 | ...]`` of built operators: block
+    ``t`` holds ``op_t``'s keys plus ``t << 2 * size``."""
     assert all(op.window == w for op in ops) and len(ops) <= fock._max_blocks(w)
     key = np.concatenate([op.key for op in ops])
     blocks = np.arange(len(ops), dtype=np.int64) << (2 * w.size)
     key |= np.repeat(blocks, [op.nnz for op in ops])
-    return key, np.concatenate([op.vals for op in ops])
+    return IntegerSparseOperator._wrap(w, key, np.concatenate([op.vals for op in ops]))
 
 
 def _wide_products(a, bs):
-    """``[a @ b]`` and ``[b @ a]`` for every ``b`` in ``bs``, from one wide left
+    """``[a @ b]`` and ``[b @ a]`` for every ``b`` in ``bs``, from one wide
     product each: the second as ``(aᵀ bᵀ)ᵀ``, block by block."""
-    w = a.window
-    stack = _stack(w, bs)
-    wide = fock._product(a.transpose(), *fock._transpose_blocks(w, *stack))
-    left = _blocks(w, len(bs), *fock._product(a, *stack))
-    return left, _blocks(w, len(bs), *fock._transpose_blocks(w, *wide))
+    stack = _stack(a.window, bs)
+    left = _blocks(a.window, len(bs), a @ stack)
+    return left, _blocks(a.window, len(bs), (a.transpose() @ stack.transpose()).transpose())
 
 
 def _rand_stack(rng, w):
@@ -513,11 +547,10 @@ def test_transpose_blocks_transposes_every_block():
         w = SiteWindow(0, size - 1)
         bs = _rand_stack(rng, w)
         stack = _stack(w, bs)
-        flipped = fock._transpose_blocks(w, *stack)
-        for b, bt in zip(bs, _blocks(w, len(bs), *flipped)):
+        flipped = stack.transpose()
+        for b, bt in zip(bs, _blocks(w, len(bs), flipped)):
             assert bt == b.transpose() and _same(bt, csr(b).T)
-        back = fock._transpose_blocks(w, *flipped)
-        assert np.array_equal(back[0], stack[0]) and np.array_equal(back[1], stack[1])
+        assert flipped.transpose() == stack and flipped.adjoint() == stack
 
 
 def test_batched_products_raise_when_bound_uncertifiable():
@@ -532,16 +565,16 @@ def test_batched_products_raise_when_bound_uncertifiable():
     bs.insert(2, IntegerSparseOperator.diagonal(w, [-(1 << 31)] * w.dimension))
     stack = _stack(w, bs)
     with pytest.raises(OverflowError):
-        fock._product(a, *stack)
+        a @ stack
     with pytest.raises(OverflowError):
-        fock._product(a.transpose(), *fock._transpose_blocks(w, *stack))
+        a.transpose() @ stack.transpose()
 
 
 def test_batched_products_refuse_window_mismatch():
     # a stack is built on one window: a site outside it is refused
     w, other = SiteWindow(0, 2), SiteWindow(1, 3)
     inside, outside = FermionMonomial(1, ((2, True),)), FermionMonomial(1, ((3, True),))
-    assert fock._build_stack([inside], w)[0].size == 4
+    assert fock._build_stack([inside], w).nnz == 4
     with pytest.raises(ValueError):
         fock._build_stack([inside, outside], w)
     with pytest.raises(ValueError):
@@ -557,15 +590,15 @@ def test_batched_products_split_when_block_keys_would_overflow():
     # a 31-site window leaves key bits for one block only: no stack of two
     w = SiteWindow(0, 30)
     monos = [_full_monomial(w)] * 3
-    key, vals = fock._build_stack(monos[:1], w)
-    assert key.tolist() == [w.dimension - 1] and vals.tolist() == [1]
+    one = fock._build_stack(monos[:1], w)
+    assert one.key.tolist() == [w.dimension - 1] and one.vals.tolist() == [1]
     with pytest.raises(OverflowError):
         fock._build_stack(monos[:2], w)
     # a 30-site window holds four blocks, and its keys stay in int64
     w = SiteWindow(0, 29)
     monos = [_full_monomial(w)] * 5
-    key, _ = fock._build_stack(monos[:4], w)
-    assert key.tolist() == [(t << 60) + w.dimension - 1 for t in range(4)]
+    four = fock._build_stack(monos[:4], w)
+    assert four.key.tolist() == [(t << 60) + w.dimension - 1 for t in range(4)]
     with pytest.raises(OverflowError):
         fock._build_stack(monos, w)
 
@@ -597,8 +630,7 @@ def test_stack_blocks_match_basis_action_and_single_builds():
         if trial % 3 == 0:
             monos += _special_monomials(w)
             rng.shuffle(monos)
-        key, vals = fock._build_stack(monos, w)
-        for m, block in zip(monos, _blocks(w, len(monos), key, vals)):
+        for m, block in zip(monos, _blocks(w, len(monos), fock._build_stack(monos, w))):
             assert block == matrix_by_basis_action(m, w) == build_matrix(m, w), m
             assert _canonical_form(build_matrix(m, w))
         assert build_matrix(monos, w) == matrix_by_basis_action(monos, w)
@@ -618,8 +650,8 @@ def test_stack_and_builds_sort_nothing(monkeypatch):
     for name in ("sort", "argsort", "lexsort", "unique"):
         monkeypatch.setattr(np, name, refuse)
     for w, monos in cases:
-        key, vals = fock._build_stack(monos, w)
-        assert np.all(key[1:] > key[:-1]) and np.all(vals != 0)
+        stack = fock._build_stack(monos, w)
+        assert np.all(stack.key[1:] > stack.key[:-1]) and np.all(stack.vals != 0)
         for m in monos:
             op = build_matrix(m, w)
             assert np.all(op.key[1:] > op.key[:-1])
@@ -634,8 +666,7 @@ def test_stack_refuses_uncertified_coefficients():
         with pytest.raises(OverflowError):
             build_matrix(big, w)
     edge = FermionMonomial((1 << 62) - 1, ((0, True),))
-    key, vals = fock._build_stack([edge], w)
-    assert vals.tolist() == [(1 << 62) - 1, -((1 << 62) - 1)] * 2
+    assert fock._build_stack([edge], w).vals.tolist() == [(1 << 62) - 1, -((1 << 62) - 1)] * 2
     assert build_matrix(edge, w) == matrix_by_basis_action(edge, w)
 
 

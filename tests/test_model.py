@@ -249,6 +249,23 @@ def test_eigenvalue_text_is_json_dumps_and_str(values):
     assert rep.csv_text() == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 
+def test_report_holds_one_read_only_array():
+    m = build_supercharge((0, 1), "open")
+    rep = spectrum(m, "all")
+    assert rep.eigenvalues.dtype == np.float64 and not rep.eigenvalues.flags.writeable
+    assert np.all(np.diff(rep.eigenvalues) >= 0)
+    assert rep.to_json()["eigenvalues"] == rep.eigenvalues.tolist()
+    assert json.loads(rep.eigenvalues_json()) == rep.to_json()["eigenvalues"]
+    # equality compares the arrays; a given sequence becomes the same array
+    copy = SpectrumReport((0, 1), "open", "all", rep.eigenvalues.tolist(), rep.kernel_dimension)
+    assert copy == rep and not copy.eigenvalues.flags.writeable
+    bumped = rep.eigenvalues.copy()
+    bumped[-1] += 1
+    assert SpectrumReport((0, 1), "open", "all", bumped, rep.kernel_dimension) != rep
+    assert SpectrumReport((0, 1), "open", 3, rep.eigenvalues, rep.kernel_dimension) != rep
+    assert bumped.flags.writeable  # the report freezes its view, not the caller's array
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_eigenvalue_text_refuses_non_finite_values(bad):
     rep = SpectrumReport((0, 1), "open", "all", (0.0, bad), 0)

@@ -59,3 +59,17 @@ def test_readme_private_names_exist():
     assert quoted
     for name in sorted(quoted):
         assert re.search(rf"^\s*(def|class) {name}\b|^{name} =", source, re.M), name
+
+
+@pytest.mark.parametrize("name", ["charges", "verify"])
+def test_only_the_stack_builders_cross_the_fock_boundary(name):
+    # the wide stack is an ordinary operator, so the checks need no private
+    # product, transpose or comparison from fock
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fock"
+        for alias in node.names
+    }
+    assert imported and {x for x in imported if x.startswith("_")} <= {"_build_stack", "_max_blocks"}

@@ -151,7 +151,7 @@ def test_charge_checks_refuse_a_stack_beyond_the_block_limit(monkeypatch, capsys
     monkeypatch.setattr(charges, "_max_blocks", lambda window: 2 * len(union) - 1)
     with pytest.raises(OverflowError):
         _charge_stack(union, m.window)
-    assert _charge_stack(union[1:], m.window)[0].size
+    assert _charge_stack(union[1:], m.window).nnz
     monkeypatch.setattr(charges, "_max_blocks", lambda window: 4)
     code, out = main(["verify", "charges", "--n", "2"]), capsys.readouterr().out
     doc = json.loads(out)
@@ -162,8 +162,8 @@ def test_charge_checks_refuse_a_stack_beyond_the_block_limit(monkeypatch, capsys
 def test_charge_stack_holds_each_charge_and_its_transpose():
     m = build_supercharge((0, 2), "open")
     union = enumerate_union(0, 2)
-    key, vals = _charge_stack(union, m.window)
-    size = m.window.size
+    stack = _charge_stack(union, m.window)
+    key, vals, size = stack.key, stack.vals, m.window.size
     assert (np.diff(key) > 0).all() and key[-1] >> (2 * size) == 2 * len(union) - 1
     for t, f in enumerate(union):
         charge = build_matrix(charge_monomial(f), m.window)
