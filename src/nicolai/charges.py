@@ -185,11 +185,6 @@ class ConservationSequence:
     def sites(self) -> range:
         return range(2 * self.k, 2 * self.l + 1)
 
-    def value_at(self, site: int) -> int:
-        if not 2 * self.k <= site <= 2 * self.l:
-            raise ValueError(f"site {site} outside interval [{2 * self.k}..{2 * self.l}]")
-        return self.values[site - 2 * self.k]
-
     def to_string(self) -> str:
         return "".join(_CHAR[v] for v in self.values)
 

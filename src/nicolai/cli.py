@@ -47,8 +47,8 @@ _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 
 _ENUMERATE_CAP = 12  # direct enumeration bound for enumerate and count
-# Matrix suite bound for verify: at n = 6 the slowest suite (charges) takes
-# about 0.2 s in process, and it grows about 6x per step of n.
+# Matrix suite bound for verify: the slowest suite (charges) takes 0.12-0.19 s
+# in process at n = 6 and 0.7-1.0 s at n = 7 (2-vCPU host), about 5x per step.
 _VERIFY_CAP = 6
 # Transfer count bound: 2 * 3**(n-1) must print, and Python refuses to turn an
 # int of more than 4300 digits into text (n = 9000 gives 4294 digits).
@@ -95,11 +95,17 @@ def _dumps(doc: dict) -> str:
     return text
 
 
+def _document(command: Optional[str], params: dict, payload, status: str, started: float) -> str:
+    """The JSON document line of a command's result or failure."""
+    doc = dict(command=command, params=params, payload=payload, status=status)
+    doc["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
+    return _dumps(doc) + "\n"
+
+
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
     """Write the result document to ``--output`` or stdout; an ``OSError``
     propagates to ``main``'s failure handling.  ``csv_rows`` are rows, or the
     CSV text itself; handlers make them only under ``--format csv``."""
-    elapsed_ms = round(1000.0 * (time.perf_counter() - started), 3)
     if args.format == "csv" and isinstance(csv_rows, str):
         text = csv_rows
     elif args.format == "csv" and csv_rows is not None:
@@ -107,14 +113,7 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
         text = buffer.getvalue()
     else:
-        doc = {
-            "command": command,
-            "params": params,
-            "payload": payload,
-            "status": "ok",
-            "elapsed_ms": elapsed_ms,
-        }
-        text = _dumps(doc) + "\n"
+        text = _document(command, params, payload, "ok", started)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -126,14 +125,8 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
 def _emit_failure(
     command: Optional[str], params: dict, reason: str, code: int, started: float
 ) -> int:
-    doc = {
-        "command": command,
-        "params": params,
-        "payload": {"code": _REASON_CODES.get(code, "error"), "reason": reason},
-        "status": "failure",
-        "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
-    }
-    sys.stdout.write(_dumps(doc) + "\n")
+    payload = {"code": _REASON_CODES.get(code, "error"), "reason": reason}
+    sys.stdout.write(_document(command, params, payload, "failure", started))
     return code
 
 
@@ -148,15 +141,11 @@ def _guard_dimension(size: int, max_dim: int):
         )
 
 
-def _guard_enumeration(n: int):
-    if n > _ENUMERATE_CAP:
-        raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
-
-
 def _admissible_words(n: int):
     """The packed admissible words on ``[0..2n]``: the ground configurations,
     and the conservation sequences with bit 1 for ``+1``."""
-    _guard_enumeration(n)
+    if n > _ENUMERATE_CAP:
+        raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
     if n < 1:
         raise ValueError("k < l required")
     return _words(2 * n + 1)
@@ -302,9 +291,7 @@ def _cmd_replay(args) -> tuple:
     }
     if args.format != "csv":
         return payload, None
-    return payload, [("target", "predicted_sign", "steps", "consistent")] + [
-        (word.target.to_string(), word.predicted_sign, len(word.steps), True)
-    ]
+    return payload, [tuple(payload), tuple(payload.values())]
 
 
 # The command line as data.  An option maps to its reader (``int``, ``str`` or a
@@ -427,14 +414,14 @@ def main(argv=None) -> int:
         payload, rows = args.handler(args)
         return _emit(args, args.command, params, payload, started, csv_rows=rows)
     except _CommandFailure as failure:
-        return _emit_failure(args.command, params, failure.reason, failure.code, started)
+        reason, code = failure.reason, failure.code
     except GenerationError as exc:
-        return _emit_failure(args.command, params, str(exc), _EXIT_FAILURE, started)
+        reason, code = str(exc), _EXIT_FAILURE
     except (OverflowError, MemoryError) as exc:
-        reason = str(exc) or type(exc).__name__
-        return _emit_failure(args.command, params, reason, _EXIT_RESOURCE, started)
+        reason, code = str(exc) or type(exc).__name__, _EXIT_RESOURCE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _emit_failure(args.command, params, str(exc), _EXIT_USAGE, started)
+        reason, code = str(exc), _EXIT_USAGE
+    return _emit_failure(args.command, params, reason, code, started)
 
 
 if __name__ == "__main__":

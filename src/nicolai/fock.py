@@ -28,6 +28,7 @@ errors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple
 
@@ -158,7 +159,9 @@ class FermionMonomial:
     factors: Tuple[Tuple[int, bool], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((int(s), bool(d)) for s, d in self.factors))
+        factors = tuple((operator.index(s), bool(d)) for s, d in self.factors)
+        object.__setattr__(self, "coefficient", operator.index(self.coefficient))
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def increasing(cls, factors, coefficient: int = 1) -> "FermionMonomial":
@@ -196,9 +199,8 @@ class FockVector:
     amplitudes: Mapping[int, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", {int(i): int(a) for i, a in self.amplitudes.items() if a}
-        )
+        amplitudes = {operator.index(i): operator.index(a) for i, a in self.amplitudes.items() if a}
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @classmethod
     def zero(cls, window: SiteWindow) -> "FockVector":
@@ -262,7 +264,7 @@ class IntegerSparseOperator:
         """
         if window.size > _MAX_SIZE:
             raise ValueError(f"window of {window.size} sites is too large for packed keys")
-        key, vals = np.asarray(key, dtype=np.int64), np.asarray(vals, dtype=np.int64)
+        key, vals = _int64(key), _int64(vals)
         if (key >> (2 * window.size)).any():
             raise ValueError("operator position outside the window")
         bound = _bound(vals)
@@ -288,16 +290,15 @@ class IntegerSparseOperator:
 
     @classmethod
     def diagonal(cls, window: SiteWindow, diag) -> "IntegerSparseOperator":
-        diag = np.asarray(diag, dtype=np.int64)
+        diag = _int64(diag)
         if diag.size != window.dimension:
             raise ValueError(f"a diagonal on this window has {window.dimension} entries")
         return cls(window, np.arange(diag.size, dtype=np.int64) * (window.dimension + 1), diag)
 
     @classmethod
     def from_entries(cls, window: SiteWindow, entries: Mapping[Tuple[int, int], int]):
-        rows = np.fromiter((r for r, _ in entries), dtype=np.int64, count=len(entries))
-        cols = np.fromiter((c for _, c in entries), dtype=np.int64, count=len(entries))
-        vals = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
+        rows, cols = _int64([r for r, _ in entries]), _int64([c for _, c in entries])
+        vals = _int64(list(entries.values()))
         # checked apart, as row dim of col 0 would pack to the in-range key dim
         if ((rows | cols) >> window.size).any():
             raise ValueError("operator position outside the window")
@@ -335,9 +336,6 @@ class IntegerSparseOperator:
             and np.array_equal(self.vals, other.vals)
         )
 
-    def __hash__(self):
-        raise TypeError("IntegerSparseOperator is not hashable")
-
     # -- exact arithmetic ----------------------------------------------------
 
     def _check_window(self, other: "IntegerSparseOperator"):
@@ -358,6 +356,7 @@ class IntegerSparseOperator:
         return self.scaled(-1)
 
     def scaled(self, c: int) -> "IntegerSparseOperator":
+        c = operator.index(c)
         # a unit multiple keeps every entry's magnitude, which is certified
         if abs(c) > 1 and abs(c) * max(self.entry_bound(), 1) >= _INT64_SAFE:
             raise OverflowError("scalar multiple exceeds the certified int64 range")
@@ -409,6 +408,20 @@ class IntegerSparseOperator:
             for i, x in zip((self.key[a:b] & mask).tolist(), self.vals[a:b].tolist()):
                 out[i] = out.get(i, 0) + x * amp
         return FockVector(self.window, out)
+
+
+def _int64(values) -> np.ndarray:
+    """``values`` as an int64 array.  A value that is not an integer raises
+    ``TypeError``, where a conversion would truncate it, and an integer
+    beyond int64 raises ``OverflowError``."""
+    array = np.asarray(values)
+    if array.dtype.kind == "O":  # Python integers beyond int64, or other objects
+        array = np.frompyfunc(operator.index, 1, 1)(array)
+    elif array.size and array.dtype.kind not in "iub":
+        raise TypeError(f"integer entries required, got {array.dtype}")
+    elif array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+        raise OverflowError("integer entries beyond int64")
+    return np.asarray(array, dtype=np.int64)
 
 
 def _bound(vals: np.ndarray) -> int:
@@ -581,16 +594,14 @@ def build_matrix(op, window: SiteWindow) -> IntegerSparseOperator:
     """Exact matrix of a monomial, or of the sum of an iterable of monomials,
     on a window.
 
-    Column ``j`` holds the image of basis configuration ``j``.  A monomial's
-    matrix is its one block of ``_closed_form_entries``, already canonical; a
-    sum folds the terms' blocks into one matrix.
+    Column ``j`` holds the image of basis configuration ``j``.  The checked
+    constructor folds the terms' blocks of ``_closed_form_entries`` into one
+    matrix; a single block is already canonical, so nothing is sorted.
     """
     terms = (op,) if isinstance(op, FermionMonomial) else tuple(op)
     if sum(abs(t.coefficient) for t in terms) >= _INT64_SAFE:
         raise OverflowError("operator coefficients exceed the certified int64 range")
     key, vals, _ = _closed_form_entries(terms, window)
-    if len(terms) == 1:
-        return IntegerSparseOperator._wrap(window, key, vals)
     return IntegerSparseOperator(window, key, vals)
 
 

@@ -267,11 +267,10 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
         for block, count in zip(distinct.tolist(), counts.tolist()):
             rows = [{c: v for c, v in enumerate(row) if v} for row in block]
             kdim += count * (block_size - integer_rank(rows))
-    label: Union[int, str] = "all" if sector == "all" else int(sector)
     return SpectrumReport(
         interval=(m.interval.k, m.interval.l),
         edge_mode=m.edge_mode,
-        sector=label,
+        sector=sector,
         eigenvalues=np.sort(np.concatenate(eigs)),
         kernel_dimension=kdim,
     )

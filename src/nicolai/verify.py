@@ -91,24 +91,19 @@ def _leibniz_sides(
 
     Block ``t`` of each side holds triple ``t``: the operators are block
     diagonal on ``small`` plus enough high sites to index the triples (see
-    ``_block_diagonal``), and each grading ``(-1)^|x|`` is a diagonal ±1
-    operator, constant on every block.
+    ``_block_diagonal``).  Each grading rides on its operand: ``gb`` and
+    ``gc`` hold the graded monomials ``(-1)^|x| x``, odd ones negated.
     """
     high = max(len(triples) - 1, 1).bit_length()
     window = SiteWindow(small.lo, small.hi + high)
-    firsts, seconds, thirds = zip(*triples)
-    a, b, c = (_block_diagonal(window, small, xs) for xs in (firsts, seconds, thirds))
-    unused = [1] * ((1 << high) - len(triples))  # the blocks no triple fills
-    sb, sc = (
-        IntegerSparseOperator.diagonal(
-            window, np.repeat([1 - 2 * (x.degree % 2) for x in xs] + unused, small.dimension)
-        )
-        for xs in (seconds, thirds)
-    )
-    graded = lambda x, sign: a @ x - sign @ (x @ a)
-    bc = b @ c
-    lhs = graded(bc, sb @ sc)
-    rhs = graded(b, sb) @ c + sb @ (b @ graded(c, sc))
+
+    def graded(x: FermionMonomial) -> FermionMonomial:
+        return FermionMonomial((-1) ** x.degree * x.coefficient, x.factors)
+
+    columns = zip(*((a, b, c, graded(b), graded(c)) for a, b, c in triples))
+    a, b, c, gb, gc = (_block_diagonal(window, small, xs) for xs in columns)
+    lhs = a @ (b @ c) - (gb @ gc) @ a
+    rhs = (a @ b - gb @ a) @ c + gb @ (a @ c - gc @ a)
     return lhs, rhs
 
 
@@ -229,18 +224,16 @@ def classification_suite(n: int) -> List[Check]:
 def fixtures_suite() -> List[Check]:
     """Enumeration reproduces every shipped golden table as a set."""
     checks: List[Check] = []
-    for name in SEQUENCE_TABLES:
-        table = load_fixture(name)
-        produced = {f.to_string() for f in enumerate_sequences(table["k"], table["l"])}
-        expected = set(table["sequences"])
-        ok = produced == expected and len(table["sequences"]) == len(expected)
-        checks.append(Check(f"{name}: {len(expected)} sequences reproduced", ok))
-    for name in CONFIG_TABLES:
-        table = load_fixture(name)
-        produced = {g.to_string() for g in enumerate_upsilon_hat(table["k"], table["l"])}
-        expected = set(table["configs"])
-        ok = produced == expected and len(table["configs"]) == len(expected)
-        checks.append(Check(f"{name}: {len(expected)} configs reproduced", ok))
+    for tables, enumerator, key in (
+        (SEQUENCE_TABLES, enumerate_sequences, "sequences"),
+        (CONFIG_TABLES, enumerate_upsilon_hat, "configs"),
+    ):
+        for name in tables:
+            table = load_fixture(name)
+            produced = {x.to_string() for x in enumerator(table["k"], table["l"])}
+            expected = set(table[key])
+            ok = produced == expected and len(table[key]) == len(expected)
+            checks.append(Check(f"{name}: {len(expected)} {key} reproduced", ok))
     return checks
 
 

@@ -344,6 +344,39 @@ def test_entries_at_the_int64_bound_are_refused():
     assert IntegerSparseOperator(w, [3, 0], [1 << 61, 1 << 61]).entry_bound() == 1 << 61
 
 
+def test_non_integer_inputs_are_refused():
+    # each of these once truncated silently: scaled(1.5) scaled by 1, the
+    # diagonal stored 1, the entry read back as {(0, 0): 2} and the amplitude
+    # as 1; a float coefficient failed deep inside numpy
+    w = SiteWindow(0, 1)
+    op = IntegerSparseOperator.diagonal(w, [1, 2, 3, 4])
+    for act in (
+        lambda: op.scaled(1.5),
+        lambda: IntegerSparseOperator.diagonal(w, [1.5, 2, 3, 4]),
+        lambda: IntegerSparseOperator.from_entries(w, {(0.5, 0): 2.7}),
+        lambda: IntegerSparseOperator.from_entries(w, {(0, 0): 2.7}),
+        lambda: IntegerSparseOperator(w, [0.9], [1]),
+        lambda: FockVector(w, {0: 1.5}),
+        lambda: FockVector(w, {0.5: 1}),
+        lambda: FermionMonomial(1.5, ((0, True),)),
+        lambda: FermionMonomial(1, ((0.5, True),)),
+    ):
+        with pytest.raises(TypeError):
+            act()
+    # integers beyond int64 still overflow, whatever their container
+    for act in (
+        lambda: IntegerSparseOperator.diagonal(w, [1 << 70, 0, 0, 0]),
+        lambda: IntegerSparseOperator.from_entries(w, {(0, 0): 1 << 70}),
+        lambda: IntegerSparseOperator.diagonal(w, np.array([(1 << 64) - 1, 0, 0, 0], np.uint64)),
+    ):
+        with pytest.raises(OverflowError):
+            act()
+    # numpy integers and Python integers are the same values
+    assert op.scaled(np.int64(-2)) == op.scaled(-2)
+    assert IntegerSparseOperator.diagonal(w, np.arange(1, 5, dtype=np.uint8)) == op
+    assert FermionMonomial(np.int64(2), ((np.int64(1), True),)) == FermionMonomial(2, ((1, True),))
+
+
 def test_positions_outside_the_window_are_refused():
     # on a 2-site window (dim 4) these once packed into wrong in-range entries:
     # row 4 of col 0 read back as (0, 1), key -1 as (3, -1), a fifth diagonal

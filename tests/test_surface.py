@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,20 @@ def test_only_the_stack_builders_cross_the_fock_boundary(name):
         for alias in node.names
     }
     assert imported and {x for x in imported if x.startswith("_")} <= {"_build_stack", "_max_blocks"}
+
+
+def test_every_definition_is_named_outside_it():
+    # a function, method or class that no source, test or benchmark file
+    # names besides its own definition is dead code; dunders are named by
+    # Python itself
+    definitions = Counter(
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    folders = (PACKAGE, ROOT / "tests", ROOT / "clibench")
+    text = "\n".join(path.read_text() for folder in folders for path in folder.glob("*.py"))
+    named = Counter(re.findall(r"\w+", text))
+    assert [name for name, count in definitions.items() if named[name] <= count] == []

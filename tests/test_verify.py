@@ -61,6 +61,23 @@ def test_leibniz_blocks_are_the_per_triple_sides():
         assert _block(lhs, small, len(triples)).is_zero()
 
 
+def test_leibniz_sides_take_ten_products(monkeypatch):
+    # the gradings ride on signed copies of b and c, so the two sides take
+    # 10 products; as diagonal sign operators they took 14
+    calls = []
+    pieces = fock._product_pieces
+
+    def counted(*args):
+        calls.append(1)
+        return pieces(*args)
+
+    monkeypatch.setattr(fock, "_product_pieces", counted)
+    _, _, triples, small = verify._spot_checks(random.Random(0), 4)
+    lhs, rhs = verify._leibniz_sides(triples, small)
+    assert lhs == rhs
+    assert len(calls) == 10
+
+
 def test_algebra_suite_draws_the_parent_sequence():
     # the spot checks draw exactly what the one-at-a-time loops drew
     rng = random.Random(7)
