@@ -11,6 +11,7 @@ commutes with the Hamiltonian.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass
 from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -165,7 +166,9 @@ class ConservationSequence:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "l", operator.index(self.l))
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
         if self.k >= self.l:
             raise ValueError("sequence interval requires k < l")
         if len(self.values) != 2 * (self.l - self.k) + 1:
@@ -251,27 +254,23 @@ def verify_annihilation(
     the interval commute or anticommute with the charge but their products do
     not vanish, so they are outside the claim.)
 
-    Each center selects the entries of the blocks of ``W = [S | Sᵀ]`` whose
-    interval it meets and takes two wide products with them: ``q(i) Q(f)``,
-    ``q*(i) Q(f)`` and the transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``,
-    ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.  ``stack`` is
-    ``_charge_stack(sequences, window)``, when already built.
+    ``Q_w``, the sum of the ``q(i)`` that fit, takes two wide products with
+    ``W = [S | Sᵀ]``, which hold every ``q(i) Q(f)``, ``q*(i) Q(f)`` and the
+    transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
+    A product of monomials flips the XOR of their flips, at most one entry per
+    column, so center ``i``'s terms sit at ``row ^ col = T_i ^ F`` (``T_i``
+    its triplet, ``F`` the interval): no two centers share an entry, and the
+    flip holds all of ``F`` exactly when the triplet misses the interval.
+    ``stack`` is ``_charge_stack(sequences, window)``, when already built.
     """
     w = _charge_stack(sequences, window) if stack is None else stack
-    # 2i-1 >= lo and the triplet meets [2k..2l]; 2i+1 <= hi
-    first = np.array([max((window.lo + 2) // 2, f.k) for f in sequences] * 2)
-    last = np.array([min((window.hi - 1) // 2, f.l) for f in sequences] * 2)
-    if not first.size:
-        return True
-    block = w.key >> (2 * window.size)
-    entry_first, entry_last = first[block], last[block]
-    for i in range(first.min(), last.max() + 1):
-        meets = (entry_first <= i) & (i <= entry_last)
-        if not meets.any():
-            continue
-        term = build_matrix(supercharge_term(i), window)
-        picked = IntegerSparseOperator._wrap(window, w.key[meets], w.vals[meets])
-        if any((q @ picked).nnz for q in (term, term.adjoint())):
+    centers = range((window.lo + 2) // 2, (window.hi + 1) // 2)  # 2i-1 >= lo, 2i+1 <= hi
+    q = build_matrix(map(supercharge_term, centers), window)
+    spans = [((2 << 2 * (f.l - f.k)) - 1) << (2 * f.k - window.lo) for f in sequences]
+    spans = np.array(spans * 2, dtype=np.int64)  # F of each block, as a bit mask
+    for p in (q @ w, q.adjoint() @ w):
+        f = spans[p.key >> (2 * window.size)]
+        if ((p.rows ^ p.cols) & f != f).any():  # a meeting center's term
             return False
     return True
 

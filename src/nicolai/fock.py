@@ -101,6 +101,7 @@ class OccupationConfig:
     occ: int
 
     def __post_init__(self):
+        object.__setattr__(self, "occ", operator.index(self.occ))
         if not 0 <= self.occ < self.window.dimension:
             raise ValueError(f"occupation {self.occ} outside window dimension")
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, repeat
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -154,9 +153,12 @@ class SpectrumReport:
     def csv_text(self) -> str:
         """The ``index,eigenvalue`` table of ``to_csv_rows`` as CSV text,
         header first, formatting each distinct value once."""
-        texts, lengths = _float_runs(self.eigenvalues)
-        column = chain.from_iterable(map(repeat, texts, lengths))
-        return "index,eigenvalue\n" + "".join(map("{},{}\n".format, count(), column))
+        parts, start = ["index,eigenvalue\n"], 0
+        for text, k in zip(*_float_runs(self.eigenvalues)):
+            sep = f",{text}\n"  # each row of a run ends in its value
+            parts.append(sep.join(map(str, range(start, start + k))) + sep)
+            start += k
+        return "".join(parts)
 
 
 def _float_runs(a: np.ndarray) -> Tuple[List[str], List[int]]:

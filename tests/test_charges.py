@@ -24,6 +24,7 @@ from nicolai.fixtures import load_fixture
 from nicolai.fock import (
     FermionMonomial,
     FockVector,
+    OccupationConfig,
     SiteWindow,
     anticommutator,
     build_matrix,
@@ -64,6 +65,18 @@ def test_validation_rules():
     # the same strings are fine with checking disabled (corruption fixtures)
     bad = ConservationSequence.from_string(0, 2, "+----", check=False)
     assert bad.to_string() == "+----"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConservationSequence(0, 1, (1.5, 1, 1)),
+    lambda: ConservationSequence(0, 1, (-1.9, -1, -1)),
+    lambda: ConservationSequence(0.5, 1.5, (1, 1, 1)),
+    lambda: ConservationSequence(0, 1.0, (1, 1, 1)),
+    lambda: OccupationConfig(SiteWindow(0, 1), 1.5),
+])
+def test_inexact_inputs_raise_instead_of_truncating(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_smallest_space_is_the_two_constants():
@@ -429,6 +442,23 @@ def test_batched_checks_match_oracle_on_every_string(letters, k):
         assert verify_commutation([f], m) == (f in admissible), f.to_string()
 
 
+@pytest.mark.parametrize("letters", [3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1])
+def test_annihilation_matches_oracle_on_windows_no_model_builds(letters, k):
+    # a window wider than the model's on both sides, and the bare interval,
+    # where the triplets of the edge centers k and l do not fit
+    l = k + letters // 2
+    strings = [
+        ConservationSequence(k, l, values, check=False)
+        for values in product((-1, 1), repeat=letters)
+    ]
+    for window in (SiteWindow(2 * k - 3, 2 * l + 2), SiteWindow(2 * k, 2 * l)):
+        verdicts = [_annihilation_oracle(f, window) for f in strings]
+        for f, verdict in zip(strings, verdicts):
+            assert verify_annihilation([f], window) == verdict, (window, f.to_string())
+        assert verify_annihilation(strings, window) == all(verdicts)
+
+
 def test_charges_suite_takes_few_products(monkeypatch):
     # the identities take a few wide products over all sequences, not one
     # product per sequence and center (about 2,900 at n = 4); every product
@@ -449,5 +479,5 @@ def test_charges_suite_takes_few_products(monkeypatch):
     monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
     _build_supercharge_cached.cache_clear()  # so H = {Q, Q*} is built and counted
     assert all(c.passed for c in charges_suite(4))
-    # 2 for H, 3 for the four commutation identities, 10 for annihilation
-    assert len(calls) == 15
+    # 2 for H, 3 for the four commutation identities, 2 for annihilation
+    assert len(calls) == 7

@@ -125,6 +125,49 @@ ENUMERATE_DIGESTS = {
     ("ground-configs", "csv", 10): "21f2ebe0fac2834b0e7c13da36626d1cdce7f7a6d5987534ccb95c7ee8afda29",
 }
 
+# sha256 of the verify documents, as ENUMERATE_DIGESTS; each check's name and
+# verdict fixes the document, so these hold on every machine.
+VERIFY_DIGESTS = {
+    ("algebra", "json", 1): "fee827791c69e0b0a0d4bc713a3ca736dad9c939d5fb26662136a63b045e860f",
+    ("algebra", "json", 2): "84b244615bae579c82968e6d8017d5191aaf6fbbddd014be1601e13d14ad931e",
+    ("algebra", "json", 3): "66279b69f7d085792f125fec940a471eb9f0f2d5681ffff362b4ec10ba201814",
+    ("algebra", "json", 4): "07cad3e8d2627c09f2662f5a5a6500aace8559c6b582f7032d9c313a2525ec56",
+    ("algebra", "json", 5): "f40a2529daad4f02e8358fe88555f845b7c5bd1fe010a9153e4ad0b85ad37fef",
+    ("algebra", "json", 6): "981b65273430604a0d7786479860ed652f70982fa959534d1d25b548b461a8bf",
+    ("algebra", "csv", 1): "57f8bd1bb00e4cb519e887d861a287dab46bad739503df82a55b06e3ad89be73",
+    ("algebra", "csv", 2): "5fa0660b4d7655ed1b65553c3133b7eaa1116d8296ca2aa114dc82b6056cec7b",
+    ("algebra", "csv", 3): "1fbb2c68871f8bc451c4199a02ee7c6eeb7582b6f7ded4c8a0352c7a04f58679",
+    ("algebra", "csv", 4): "042bd09fb74c340343a8bfe7b46c849480bfcfada0e5d17bf55b83ce724a9b04",
+    ("algebra", "csv", 5): "222ca508cf80a5bd1be9808e74d5bff52ebe387d8a7c655baa0e23aec89671ff",
+    ("algebra", "csv", 6): "8c2db07097a4b7f8dff2b68eebf5318f350dc28c471da07a268b2fbfa32069f3",
+    ("charges", "json", 1): "7cc5004afdfc10d3f1b23981a9c394333bbf104190a9134e06a498151baf449e",
+    ("charges", "json", 2): "621a6f44d4ff700af08bf9dc80e6fc84a2e764ecb21f4deb5cd14b250ab56d2d",
+    ("charges", "json", 3): "556e763a631c7665da7fb831fc49fc2cf117cbe87bdd218affd410c22c135fe2",
+    ("charges", "json", 4): "86b170daa16546ab2b9432d625aa2567cbc136f83bfcc44baacafea8088a95e5",
+    ("charges", "json", 5): "9597a9ff8c493937fad07268afca46945701346ef125cdf294d6de5277bbe6ef",
+    ("charges", "json", 6): "f8195618a0b13360e385f12dfbee76b5507c3b52a66b1a81422f717bf9d46d8e",
+    ("charges", "csv", 1): "8e92a1fc818fcbee92c40d5d4092277458834ebe6eb911b63b5132667ed1b33b",
+    ("charges", "csv", 2): "f3c98368d2c2da47caf67b4d3be3418469f6daaa26f1e283c892bb50d7be173b",
+    ("charges", "csv", 3): "bf8d54cf3be96247f59eba496b21480946649e40b32ebf7dab841d79cf7d56d1",
+    ("charges", "csv", 4): "e15a7a60ebbda608d8a0dead761dcb1021ee175182da54f20de9ed9be3fe024f",
+    ("charges", "csv", 5): "abee30565220a0441b95add696c8ce0f3cd17e7a79edd01341e805d95a2d5fc3",
+    ("charges", "csv", 6): "e5e7edc3b3ac562347ab96c868728ad16d6c30b71599c3cab8a779d516a901dc",
+    ("classification", "json", 1): "d2cb4f3c6674fb3739c362fe3f306cf58b811a0f837994079d69e6c904d26097",
+    ("classification", "json", 2): "e565f38480dcc462de6a73ba9906df1692e68dce6eb8fb87758123344239ef01",
+    ("classification", "json", 3): "20253a42d7265bc4fbe7ffb130cf363694f6d2f4e45c8f4cc2ffae6255a0a35f",
+    ("classification", "json", 4): "759ec92e85f2b363e88c54b953c6e87d15c450b985ec9d5ac13a7681eaa13259",
+    ("classification", "json", 5): "f9f541a2a2f78e94aaa44eee0c5a5228fb5955d3cfd010256a437c33ab2de005",
+    ("classification", "json", 6): "5bef51bb40e335e86542841ea5e564a5caae0af67d65ebb3be9918b6ba718e4d",
+    ("classification", "csv", 1): "b6d1caf3856d491e1abce27cf9313bbd1a7a75b11054ec4bcc42663232c738cc",
+    ("classification", "csv", 2): "f4efa4144f1d0bb5f3675158e050c53cae73e79a45132e1982749b19c33d1dd5",
+    ("classification", "csv", 3): "572fb61a20a9a2717d0f36cb098fee8278db46176988eb6545408c4abb9a86b7",
+    ("classification", "csv", 4): "bc2774a99ec334ea2c4bdff3e6bba4269793a76e9934272d2c9496dae66544f6",
+    ("classification", "csv", 5): "a4bc0e40e4d95d940e669164f2eeccf8cd1f798cef166aacf8502197fd34b9ff",
+    ("classification", "csv", 6): "03c77acb480aeea46c58749b8b567985cff27b0c9340810494ce602943edc667",
+    ("fixtures", "json", None): "924ebcbd8eb7afd53d497ed276e91343f161d20fefe0c304c4aa4d5ec581b609",
+    ("fixtures", "csv", None): "37fc3e85d6dc16465da5d501f41389b8319c18c7fc488edd7e831e470997d927",
+}
+
 
 def _document_digest(capsys, *argv):
     code, out = _run(capsys, *argv)
@@ -141,6 +184,13 @@ def test_count_documents_pinned(capsys, n):
 def test_enumerate_documents_pinned(capsys, kind, fmt, n):
     digest = _document_digest(capsys, "--format", fmt, "enumerate", kind, "--n", str(n))
     assert digest == ENUMERATE_DIGESTS[kind, fmt, n]
+
+
+@pytest.mark.parametrize("suite, fmt, n", sorted(VERIFY_DIGESTS, key=str))
+def test_verify_documents_pinned(capsys, suite, fmt, n):
+    size = () if n is None else ("--n", str(n))
+    digest = _document_digest(capsys, "--format", fmt, "verify", suite, *size)
+    assert digest == VERIFY_DIGESTS[suite, fmt, n]
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,7 @@ from nicolai.charges import (
 )
 from nicolai.cli import main
 from nicolai.fock import FermionMonomial, IntegerSparseOperator, build_matrix
-from nicolai.model import build_supercharge
+from nicolai.model import _build_supercharge_cached, build_supercharge
 from oracles import (
     adjoint_by_monomial,
     classification_by_config,
@@ -151,6 +151,27 @@ def test_a_missing_ground_config_fails_the_classification(monkeypatch):
     monkeypatch.setattr(verify, "_words", lambda size: words(size)[1:])
     checks = verify.classification_suite(3)
     assert not checks[0].passed and checks[1].passed
+
+
+def test_h_check_catches_a_product_that_loses_a_term(monkeypatch):
+    # H is built with the one product path and checked against its monomial
+    # expansion, so a product that drops a term fails the check in both modes
+    pieces = fock._product_pieces
+
+    def lossy(a, b):
+        dropped = False
+        for key, vals in pieces(a, b):
+            if not dropped and key.size:
+                key, vals, dropped = key[1:], vals[1:], True
+            yield key, vals
+
+    monkeypatch.setattr(fock, "_product_pieces", lossy)
+    _build_supercharge_cached.cache_clear()
+    try:
+        checks = [c for c in verify.algebra_suite(3) if c.name.startswith("H = ")]
+    finally:
+        _build_supercharge_cached.cache_clear()
+    assert len(checks) == 2 and not any(c.passed for c in checks)
 
 
 def test_charge_checks_refuse_a_stack_beyond_the_block_limit(monkeypatch, capsys):
