@@ -255,20 +255,24 @@ def verify_annihilation(
     not vanish, so they are outside the claim.)
 
     ``Q_w``, the sum of the ``q(i)`` that fit, takes two wide products with
-    ``W = [S | Sᵀ]``, which hold every ``q(i) Q(f)``, ``q*(i) Q(f)`` and the
-    transposes ``(Q(f) q*(i))ᵀ = q(i) Q(f)ᵀ``, ``(Q(f) q(i))ᵀ = q*(i) Q(f)ᵀ``.
-    A product of monomials flips the XOR of their flips, at most one entry per
+    the ``S`` half of ``W = [S | Sᵀ]``, which hold every ``q(i) Q(f)`` and
+    ``q*(i) Q(f)``.  Those decide the other orders too: a product of two
+    monomials, each with distinct sites, vanishes exactly when a shared site
+    carries the same ladder operator in both, whichever comes first.  A
+    product of monomials flips the XOR of their flips, at most one entry per
     column, so center ``i``'s terms sit at ``row ^ col = T_i ^ F`` (``T_i``
     its triplet, ``F`` the interval): no two centers share an entry, and the
     flip holds all of ``F`` exactly when the triplet misses the interval.
     ``stack`` is ``_charge_stack(sequences, window)``, when already built.
     """
     w = _charge_stack(sequences, window) if stack is None else stack
+    at = np.searchsorted(w.key, len(sequences) << (2 * window.size))  # where Sᵀ begins
+    s = IntegerSparseOperator._wrap(window, w.key[:at], w.vals[:at])
     centers = range((window.lo + 2) // 2, (window.hi + 1) // 2)  # 2i-1 >= lo, 2i+1 <= hi
     q = build_matrix(map(supercharge_term, centers), window)
     spans = [((2 << 2 * (f.l - f.k)) - 1) << (2 * f.k - window.lo) for f in sequences]
-    spans = np.array(spans * 2, dtype=np.int64)  # F of each block, as a bit mask
-    for p in (q @ w, q.adjoint() @ w):
+    spans = np.array(spans, dtype=np.int64)  # F of each block, as a bit mask
+    for p in (q @ s, q.adjoint() @ s):
         f = spans[p.key >> (2 * window.size)]
         if ((p.rows ^ p.cols) & f != f).any():  # a meeting center's term
             return False

@@ -19,7 +19,6 @@ usage-error document, with the raw ``argv`` as its params and ``command`` null.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -109,6 +108,7 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
     if args.format == "csv" and isinstance(csv_rows, str):
         text = csv_rows
     elif args.format == "csv" and csv_rows is not None:
+        import csv  # loaded only when CSV rows are written
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
         text = buffer.getvalue()

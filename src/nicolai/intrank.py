@@ -1,10 +1,11 @@
-"""Exact rank of sparse integer matrices over the rationals.
+"""Exact rank of integer matrices over the rationals.
 
-Fraction-free Gaussian elimination on dictionary rows with Python integers:
-rows are combined as ``(p[c]//g)*row - (r[c]//g)*pivot`` and re-divided by
-their content gcd, so entries stay integral and modest while the row space
-(and hence the rank) is preserved exactly.  Pivots are chosen Markowitz-style
-(sparsest row first, then smallest magnitude) to limit fill-in.
+``integer_rank`` is fraction-free Gaussian elimination on dictionary rows with
+Python integers: rows are combined as ``(p[c]//g)*row - (r[c]//g)*pivot`` and
+re-divided by their content gcd, so the rank is preserved exactly; pivots are
+chosen Markowitz-style.  No command uses it or ``rows_from_csr``: both are kept
+for the benchmark's span, the tests and the API.  ``spectrum`` ranks its
+positive semidefinite blocks with ``_psd_ranks``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ def rows_from_csr(mat, cols: Optional[np.ndarray] = None) -> List[Dict[int, int]
     """Extract nonzero rows of a sparse matrix as ``{col: int}`` dicts.
 
     ``mat`` is any matrix with a ``.tocsr()`` method, such as a scipy sparse
-    matrix.  No command uses this; it is kept for the benchmark's span and
-    the tests' oracles.  When ``cols`` is given, columns are restricted to
-    that subset and re-indexed by position in ``cols``.
+    matrix.  When ``cols`` is given, columns are restricted to that subset
+    and re-indexed by position in ``cols``.
     """
     csr = mat.tocsr()
     remap = None
@@ -86,3 +86,35 @@ def integer_rank(rows: Iterable[Dict[int, int]]) -> int:
         active = reduced
     return rank
 
+
+def _psd_ranks(stack: np.ndarray) -> np.ndarray:
+    """Exact ranks of a ``(d, s, s)`` integer stack of symmetric positive
+    semidefinite (PSD) blocks, by one Bareiss elimination over the stack.
+
+    Each step moves every block's largest diagonal entry ``p``, its pivot, to
+    the front; a zero diagonal entry of a PSD block has a zero row and column,
+    so ``p = 0`` means a zero block.  With ``r`` the pivot row and ``prev`` the
+    previous pivot, ``(p A - r rᵀ) // prev`` divides exactly (Sylvester's
+    identity) and, without the pivot's row and column, is a positive multiple
+    of the Schur complement, again PSD.  The rank counts the positive pivots.
+    A step runs in int64 only while ``2 M² < 2**63``, ``M = max |A|``,
+    certifies it; from the first that fails, the stack holds Python integers.
+    """
+    a, (d, n) = stack, stack.shape[:2]
+    at, ar = np.arange(d)[:, None, None], np.arange(n)
+    ranks, prev = np.zeros((d, 1, 1), dtype=np.int64), np.ones((d, 1, 1), dtype=np.int64)
+    while n:
+        i = a.diagonal(axis1=1, axis2=2).argmax(axis=1)[:, None]
+        order = ar[:n] - (ar[:n] <= i)
+        order[:, 0] = i[:, 0]  # the pivot, then every other index in turn
+        a = a[at, order[:, :, None], order[:, None, :]]
+        m = max(int(a.max()), -int(a.min()))
+        if not m:
+            break
+        if 2 * m * m >= 1 << 63 and a.dtype != object:
+            a, prev = a.astype(object), prev.astype(object)
+        p, r = a[:, :1, :1], a[:, :1, 1:]
+        ranks += p > 0
+        a = (p * a[:, 1:, 1:] - r.transpose(0, 2, 1) * r) // prev
+        prev, n = np.maximum(p, 1), n - 1
+    return ranks[:, 0, 0]

@@ -26,10 +26,9 @@ from .fock import (
     FermionMonomial,
     IntegerSparseOperator,
     SiteWindow,
-    anticommutator,
     build_matrix,
 )
-from .intrank import integer_rank
+from .intrank import _psd_ranks
 
 __all__ = [
     "Interval",
@@ -96,9 +95,12 @@ def _build_supercharge_cached(k: int, l: int, edge_mode: str) -> ModelOperators:
         raise ValueError(f"edge_mode must be 'open' or 'closed', got {edge_mode!r}")
     terms = tuple(supercharge_term(i) for i in indices)
     q = build_matrix(terms, window)
-    qdag = q.adjoint()
-    h = anticommutator(q, qdag)
-    return ModelOperators(interval, edge_mode, window, terms, q, qdag, h)
+    # q(i) and q(j)* act on disjoint sites when |i - j| >= 2, so they
+    # anticommute and cancel in H = {Q, Q*}: only pairs sharing a site remain
+    near = [(x, y.adjoint()) for s, x in enumerate(terms) for y in terms[max(s - 1, 0) : s + 2]]
+    h = build_matrix([FermionMonomial(a.coefficient * b.coefficient, a.factors + b.factors)
+                      for x, y in near for a, b in ((x, y), (y, x))], window)
+    return ModelOperators(interval, edge_mode, window, terms, q, q.adjoint(), h)
 
 
 def build_supercharge(interval: Union[Interval, Tuple[int, int]], edge_mode: str) -> ModelOperators:
@@ -266,9 +268,7 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
     for block_size, distinct, counts in _distinct_blocks(m.H, list(sectors)):
         values = np.linalg.eigvalsh(distinct.astype(float))
         eigs.append(np.repeat(values, counts, axis=0).ravel())
-        for block, count in zip(distinct.tolist(), counts.tolist()):
-            rows = [{c: v for c, v in enumerate(row) if v} for row in block]
-            kdim += count * (block_size - integer_rank(rows))
+        kdim += int(counts @ (block_size - _psd_ranks(distinct)))
     return SpectrumReport(
         interval=(m.interval.k, m.interval.l),
         edge_mode=m.edge_mode,

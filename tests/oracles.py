@@ -102,6 +102,28 @@ def stacked_nullity(mats, cols: Optional[np.ndarray] = None) -> int:
     return n_cols - integer_rank(rows)
 
 
+def block_ranks(stack: np.ndarray) -> List[int]:
+    """The exact rank of each block of a ``(d, s, s)`` integer stack, one
+    ``integer_rank`` of dictionary rows per block: the kernel path of
+    ``model.spectrum`` before its ranks were batched."""
+    return [
+        integer_rank([{c: v for c, v in enumerate(row) if v} for row in block])
+        for block in stack.tolist()
+    ]
+
+
+def expanded_h(m: ModelOperators) -> IntegerSparseOperator:
+    """``Q Q* + Q* Q`` expanded into monomials, every term times every adjoint
+    term in both orders (not only the pairs that share a site), and built in
+    closed form, with no matrix product."""
+    adjoints = [t.adjoint() for t in m.terms]
+    pairs = [(a, b) for x in m.terms for y in adjoints for a, b in ((x, y), (y, x))]
+    return build_matrix(
+        [FermionMonomial(a.coefficient * b.coefficient, a.factors + b.factors) for a, b in pairs],
+        m.window,
+    )
+
+
 # -- the Hamiltonian density in normal form -----------------------------------
 
 

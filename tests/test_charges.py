@@ -459,6 +459,24 @@ def test_annihilation_matches_oracle_on_windows_no_model_builds(letters, k):
         assert verify_annihilation(strings, window) == all(verdicts)
 
 
+@pytest.mark.parametrize("letters", [3, 5])
+@pytest.mark.parametrize("k", [0, 1])
+def test_charge_products_vanish_in_one_order_iff_in_the_other(letters, k):
+    # the lemma that lets verify_annihilation take only the products q Q(f)
+    # and q* Q(f): monomials with distinct sites multiply to zero exactly when
+    # a shared site carries the same ladder operator, in either order
+    l = k + letters // 2
+    window = SiteWindow(2 * k - 3, 2 * l + 2)
+    centers = range((window.lo + 2) // 2, (window.hi + 1) // 2)
+    terms = [build_matrix(supercharge_term(i), window) for i in centers]
+    terms += [t.adjoint() for t in terms]
+    for values in product((-1, 1), repeat=letters):
+        f = ConservationSequence(k, l, values, check=False)
+        x = build_matrix(charge_monomial(f), window)
+        for y in terms:
+            assert (x @ y).is_zero() == (y @ x).is_zero(), (f.to_string(), y)
+
+
 def test_charges_suite_takes_few_products(monkeypatch):
     # the identities take a few wide products over all sequences, not one
     # product per sequence and center (about 2,900 at n = 4); every product
@@ -477,7 +495,8 @@ def test_charges_suite_takes_few_products(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
-    _build_supercharge_cached.cache_clear()  # so H = {Q, Q*} is built and counted
+    _build_supercharge_cached.cache_clear()  # so the model's build is counted too
     assert all(c.passed for c in charges_suite(4))
-    # 2 for H, 3 for the four commutation identities, 2 for annihilation
-    assert len(calls) == 7
+    # none for H, built in closed form; 3 for the four commutation
+    # identities, 2 for annihilation
+    assert len(calls) == 5

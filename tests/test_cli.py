@@ -927,7 +927,7 @@ def test_commands_import_no_argument_parser():
         "from nicolai.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['count', '--n', '3']) == 0\n"
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "print(sorted({'argparse', 'gettext', 'locale', 'csv'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

@@ -24,10 +24,14 @@ from nicolai.model import (
     spectrum,
     supercharge_term,
 )
-from nicolai.model import _block_labels
+from nicolai import intrank
+from nicolai.intrank import _psd_ranks
+from nicolai.model import _block_labels, _distinct_blocks
 from oracles import (
+    block_ranks,
     bulk_term_crosscheck,
     diagonal_density,
+    expanded_h,
     graded_commutator,
     hamiltonian_density,
     stacked_nullity,
@@ -331,6 +335,65 @@ def test_kernel_dimension_closed_forms_observed():
 )
 def test_kernel_dimension_table(mode, n, kernel):
     assert spectrum(build_supercharge((0, n), mode), "all").kernel_dimension == kernel
+
+
+# Exact kernel dimension of spectrum(m, k) for each sector k = 0..size, as
+# computed by the per-block integer_rank path before the batched ranks.
+SECTOR_KERNELS = {
+    ("open", 1): [1, 3, 6, 6, 3, 1],
+    ("open", 2): [1, 4, 11, 16, 16, 11, 4, 1],
+    ("open", 3): [1, 5, 17, 33, 48, 48, 33, 17, 5, 1],
+    ("open", 4): [1, 6, 24, 58, 107, 140, 140, 107, 58, 24, 6, 1],
+    ("open", 5): [1, 7, 32, 92, 203, 329, 424, 424, 329, 203, 92, 32, 7, 1],
+    ("open", 6): [1, 8, 41, 136, 347, 668, 1039, 1280, 1280, 1039, 668, 347, 136, 41, 8, 1],
+    ("closed", 2): [1, 4, 7, 7, 4, 1],
+    ("closed", 3): [1, 5, 13, 21, 21, 13, 5, 1],
+    ("closed", 4): [1, 6, 20, 42, 59, 59, 42, 20, 6, 1],
+    ("closed", 5): [1, 7, 28, 72, 131, 177, 177, 131, 72, 28, 7, 1],
+    ("closed", 6): [1, 8, 37, 112, 247, 412, 527, 527, 412, 247, 112, 37, 8, 1],
+    ("closed", 7): [1, 9, 47, 163, 419, 827, 1285, 1601, 1601, 1285, 827, 419, 163, 47, 9, 1],
+}
+
+
+@pytest.mark.parametrize("mode,n", sorted(SECTOR_KERNELS))
+def test_sector_kernel_tables_pinned(mode, n):
+    m = build_supercharge((0, n), mode)
+    table = [spectrum(m, k).kernel_dimension for k in range(m.window.size + 1)]
+    assert table == SECTOR_KERNELS[mode, n]
+    # sectors k and size - k agree, and the Witten index sum (-1)^k d_k is 0
+    assert table == table[::-1]
+    assert sum((-1) ** k * d for k, d in enumerate(table)) == 0
+    total = OPEN_KERNELS[n - 1] if mode == "open" else CLOSED_KERNELS[n - 2]
+    assert sum(table) == total
+
+
+# Open n <= 7 and closed n <= 8: windows of up to 17 sites.
+UP_TO_17_SITES = [("open", n) for n in range(1, 8)] + [("closed", n) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("mode,n", UP_TO_17_SITES)
+def test_batched_ranks_match_per_block_oracle(mode, n):
+    m = build_supercharge((0, n), mode)
+    for size, distinct, _ in _distinct_blocks(m.H, list(range(m.window.size + 1))):
+        assert _psd_ranks(distinct).tolist() == block_ranks(distinct), size
+
+
+@pytest.mark.parametrize("mode,n", UP_TO_17_SITES)
+def test_h_matches_product_path_and_all_pairs_expansion(mode, n):
+    # H is built from the term pairs that share a site; the pairs left out
+    # cancel, as both the product path and the full expansion show
+    m = build_supercharge((0, n), mode)
+    assert m.H == anticommutator(m.Q, m.Qdag)
+    assert m.H == expanded_h(m)
+
+
+def test_spectrum_takes_no_row_elimination(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("integer_rank called")
+
+    monkeypatch.setattr(intrank, "integer_rank", refuse)
+    rep = spectrum(build_supercharge((0, 3), "open"), "all")
+    assert rep.kernel_dimension == OPEN_KERNELS[2]
 
 
 def _assert_blocks_match_csgraph(op):

@@ -154,8 +154,8 @@ def test_a_missing_ground_config_fails_the_classification(monkeypatch):
 
 
 def test_h_check_catches_a_product_that_loses_a_term(monkeypatch):
-    # H is built with the one product path and checked against its monomial
-    # expansion, so a product that drops a term fails the check in both modes
+    # H is built in closed form and checked against the one product path, so
+    # a product that drops a term fails the check in both modes
     pieces = fock._product_pieces
 
     def lossy(a, b):
