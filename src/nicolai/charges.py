@@ -68,18 +68,21 @@ def _words(size: int) -> np.ndarray:
 
     After letter ``a`` at offset ``p - 1``, a pair ``(p, p + 1)`` takes the
     three steps ``_STEPS[a]``; each word so far grows into its three
-    extensions, in order, from one of the two constant left pairs, and the
-    last letter repeats its neighbour.
+    extensions, in order, from one of the two constant left pairs.  The last
+    pair's steps also write the last letter, a repeat of their second.
     """
     if size > 62:
         raise ValueError(f"words of {size} letters do not fit in int64")
+    if size == 3:  # no pair between the two edge pairs
+        return np.array([0b000, 0b111], dtype=np.int64)
     choices = np.array([[b | c << 1 for b, c in steps] for steps in _STEPS], dtype=np.int64)
     words = np.array([0b00, 0b11], dtype=np.int64)
     for p in range(2, size - 1, 2):
+        if p == size - 3:
+            choices |= (choices & 0b10) << 1
         grown = np.take(choices << p, (words >> (p - 1)) & 1, axis=0)
         grown |= words[:, None]
         words = grown.ravel()
-    words |= ((words >> (size - 2)) & 1) << (size - 1)
     return words
 
 
@@ -135,8 +138,12 @@ def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
 
 
 def _unpack(words: np.ndarray, size: int) -> np.ndarray:
-    """The letters of packed words, one row per word."""
-    return (words[:, None] >> np.arange(size)) & 1
+    """The letters of packed int64 words as uint8 0/1, one row per word.
+
+    The words are read as little-endian bytes whatever the host's byte
+    order, so the bits of each row come lowest offset first."""
+    octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=size, bitorder="little")
 
 
 def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
@@ -197,7 +204,7 @@ def enumerate_sequences(k: int, l: int) -> List[ConservationSequence]:
     if k >= l:
         raise ValueError("k < l required")
     n = 2 * (l - k) + 1
-    values = _unpack(_words(n), n) * 2 - 1
+    values = _unpack(_words(n), n).astype(np.int8) * 2 - 1  # in uint8, 0 * 2 - 1 wraps
     # Admissible words only, so the sequences skip re-checking.
     return [ConservationSequence(k, l, v, check=False) for v in values.tolist()]
 

@@ -78,8 +78,14 @@ class _JSONText:
 _SPLICE = "\0"  # argv strings cannot hold NUL, so its JSON form marks one splice
 
 
-def _dumps(doc: dict) -> str:
-    """Compact sorted-key JSON of ``doc``, with every ``_JSONText`` spliced in."""
+def _document(
+    command: Optional[str], params: dict, payload, status: str, started: float
+) -> List[str]:
+    """The JSON document line of a command's result or failure, compact with
+    sorted keys, as pieces to write in order: the ``json.dumps`` text split
+    at its splice markers, with each ``_JSONText`` of the payload between."""
+    doc = dict(command=command, params=params, payload=payload, status=status)
+    doc["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
     texts = []
 
     def splice(value):
@@ -89,16 +95,12 @@ def _dumps(doc: dict) -> str:
         return _SPLICE
 
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice)
-    for piece in texts:
-        text = text.replace(json.dumps(_SPLICE), piece, 1)
-    return text
-
-
-def _document(command: Optional[str], params: dict, payload, status: str, started: float) -> str:
-    """The JSON document line of a command's result or failure."""
-    doc = dict(command=command, params=params, payload=payload, status=status)
-    doc["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    return _dumps(doc) + "\n"
+    parts = text.split(json.dumps(_SPLICE))
+    pieces = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        pieces += (text, part)
+    pieces.append("\n")
+    return pieces
 
 
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
@@ -106,19 +108,19 @@ def _emit(args, command: str, params: dict, payload, started: float, csv_rows=No
     propagates to ``main``'s failure handling.  ``csv_rows`` are rows, or the
     CSV text itself; handlers make them only under ``--format csv``."""
     if args.format == "csv" and isinstance(csv_rows, str):
-        text = csv_rows
+        pieces = [csv_rows]
     elif args.format == "csv" and csv_rows is not None:
         import csv  # loaded only when CSV rows are written
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
-        text = buffer.getvalue()
+        pieces = [buffer.getvalue()]
     else:
-        text = _document(command, params, payload, "ok", started)
+        pieces = _document(command, params, payload, "ok", started)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return _EXIT_OK
 
 
@@ -126,7 +128,7 @@ def _emit_failure(
     command: Optional[str], params: dict, reason: str, code: int, started: float
 ) -> int:
     payload = {"code": _REASON_CODES.get(code, "error"), "reason": reason}
-    sys.stdout.write(_document(command, params, payload, "failure", started))
+    sys.stdout.writelines(_document(command, params, payload, "failure", started))
     return code
 
 
@@ -151,17 +153,32 @@ def _admissible_words(n: int):
     return _words(2 * n + 1)
 
 
-def _spell(words: np.ndarray, size: int, letters: str, head: str, tail: str, sep: str) -> str:
-    """Each packed word as ``head``, its ``size`` letters (``letters[b]`` for
-    bit ``b``), then ``tail``; the records joined by ``sep``.
+def _spell(
+    words: np.ndarray, size: int, letters: str, head: str, tail: str, sep: str,
+    opening: str, closing: str,
+) -> str:
+    """``opening``, then each packed word as ``head``, its ``size`` letters
+    (``letters[b]`` for bit ``b``) and ``tail``, the records joined by
+    ``sep``, then ``closing``, which is as long as ``sep``.
 
-    Every record has the same width, so one template row, broadcast over all
-    words and overwritten with the letters, is the whole text."""
+    Every record has the same width, so one byte buffer holds the whole text:
+    ``opening``, then one template record broadcast over all words, whose
+    last separator ``closing`` overwrites.  The unpacked 0/1 letters become
+    ``letters[0] + b * (letters[1] - letters[0])`` in place, in uint8 (which
+    wraps, so either order of the two letters works), and fill the records'
+    letter columns.  The buffer is read once as text."""
     template = np.frombuffer((head + " " * size + tail + sep).encode("ascii"), dtype=np.uint8)
-    records = np.tile(template, (words.size, 1))
-    table = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-    records[:, len(head) : len(head) + size] = table[_unpack(words, size)]
-    return records.tobytes()[: records.size - len(sep)].decode("ascii")
+    buf = np.empty(len(opening) + words.size * template.size, dtype=np.uint8)
+    buf[: len(opening)] = np.frombuffer(opening.encode("ascii"), dtype=np.uint8)
+    records = buf[len(opening) :].reshape(words.size, template.size)
+    records[:] = template
+    buf[buf.size - len(sep) :] = np.frombuffer(closing.encode("ascii"), dtype=np.uint8)
+    first, second = letters.encode("ascii")
+    cells = _unpack(words, size)
+    cells *= np.uint8((second - first) & 0xFF)
+    cells += np.uint8(first)
+    records[:, len(head) : len(head) + size] = cells
+    return str(memoryview(buf), "ascii")
 
 
 def _cmd_enumerate(args) -> tuple:
@@ -177,8 +194,8 @@ def _cmd_enumerate(args) -> tuple:
         head, tail = f'{{"k":0,"l":{n},"values":"', '"}'
     payload = {"k": 0, "l": n, "kind": args.kind, "count": words.size}
     if args.format == "csv":
-        return payload, header + "\n" + _spell(words, size, letters, csv_head, "", "\n") + "\n"
-    payload["items"] = _JSONText("[" + _spell(words, size, letters, head, tail, ",") + "]")
+        return payload, _spell(words, size, letters, csv_head, "", "\n", header + "\n", "\n")
+    payload["items"] = _JSONText(_spell(words, size, letters, head, tail, ",", "[", "]"))
     return payload, None
 
 

@@ -14,14 +14,15 @@ shortest action word by breadth-first search over configurations and returns
 a replayable certificate with its exact sign.  The search tests every charge
 footprint of a frontier chunk in one array operation, not each charge once per
 configuration; ties go to the smallest parent, then to the plain action before
-the adjoint.
+the adjoint.  It stops after the target's level and resumes there for a later
+target on the same interval from the same start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -281,8 +282,21 @@ def _mark(bitmap: np.ndarray, occs: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
-    """Breadth-first search from a start config, run until nothing new appears.
+def _search(k: int, l: int, start: str) -> Tuple[Dict[int, Optional[int]], Iterator[None]]:
+    """The resumable breadth-first search from a start config: its tree, which
+    holds the start alone, and the generator ``_levels`` that adds one whole
+    level to it per step.  A window whose search keys overflow int64 is
+    refused here, before any bitmap is allocated."""
+    window = Interval(k, l).inner
+    if 2 * window.size > 62:
+        raise ValueError(f"a search key of two {window.size}-site states does not fit in int64")
+    tree: Dict[int, Optional[int]] = {_start_config(start, window).occ: None}
+    return tree, _levels(tree, k, l)
+
+
+def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
+    """Grow the search tree ``tree``, which holds the start alone, one level
+    per step, until nothing new appears.
 
     The search runs one whole frontier at a time over the charge footprints
     ``[2lo..2hi]`` of the interval.  A charge acts on a product state when the
@@ -307,17 +321,16 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     held at a time.  Reached configurations are bits of one bitmap over the
     window's states.
 
-    Returns the search tree: each reached configuration maps to its parent,
-    the start to ``None``, inserted level by level in ascending order.  Ties
-    break as a scan of the frontier in ascending order and of moves in
-    ``enumerate_union`` order would: the parent is the smallest frontier node
-    reaching the configuration, and ``_step`` takes the plain move when that
-    node's lowest footprint bit is occupied.
+    Each step inserts a level's configurations, mapped to their parents, in
+    ascending order.  Ties break as a scan of the frontier in ascending order
+    and of moves in ``enumerate_union`` order would: the parent is the
+    smallest frontier node reaching the configuration, and ``_step`` takes the
+    plain move when that node's lowest footprint bit is occupied.  Once a
+    level is in the tree its parents are final, so a search stopped after any
+    level gives every word it holds as the whole search would.
     """
     window = Interval(k, l).inner
     w = window.size
-    if 2 * w > 62:
-        raise ValueError(f"a search key of two {w}-site states does not fit in int64")
     flips, masks = [], []
     for m in range(1, l - k + 1):
         size = 2 * m + 1
@@ -329,10 +342,8 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
     # A chunk's (rows, footprints) AND is int64, so a quarter of ``_CHUNK``
     # cells keeps each temporary near 0.5 MB.
     rows = max(1, (_CHUNK >> 2) // masks.size)
-    start_occ = _start_config(start, window).occ
-    tree: Dict[int, Optional[int]] = {start_occ: None}
     reached = np.zeros((window.dimension + 7) // 8, dtype=np.uint8)
-    frontier = np.array([start_occ], dtype=np.int64)
+    frontier = np.array(list(tree), dtype=np.int64)
     _mark(reached, frontier)
     while frontier.size:
         level = []
@@ -350,6 +361,31 @@ def _reachability(k: int, l: int, start: str) -> Dict[int, Optional[int]]:
         keys = np.sort(np.concatenate(level))
         frontier = keys >> w
         tree.update(zip(frontier.tolist(), (keys & (window.dimension - 1)).tolist()))
+        yield
+
+
+def _reachability(
+    k: int, l: int, start: str, target: Optional[int] = None
+) -> Dict[int, Optional[int]]:
+    """The search tree of ``_search(k, l, start)``, grown until it holds the
+    level of the configuration ``target``, or to the end (every reachable
+    configuration) when ``target`` is None or unreachable.
+
+    Each configuration maps to its parent, the start to ``None``.  Later
+    calls resume the same search, so the levels are searched once per
+    ``(k, l, start)`` however many targets follow.  An exception while a
+    level grows drops every cached search: its generator has ended with the
+    tree cut short, which would otherwise read as unreachable.
+    """
+    tree, levels = _search(k, l, start)
+    try:
+        if target not in tree:
+            for _ in levels:
+                if target in tree:
+                    break
+    except BaseException:
+        _search.cache_clear()
+        raise
     return tree
 
 
@@ -367,7 +403,7 @@ def _step(k: int, node: int, dst: int) -> Tuple[ConservationSequence, bool]:
 
 
 def _word_steps(k: int, l: int, start: str, target_occ: int):
-    tree = _reachability(k, l, start)
+    tree = _reachability(k, l, start, target_occ)
     if target_occ not in tree:
         raise GenerationError(
             f"configuration {target_occ:b} on interval ({k},{l}) is unreachable "

@@ -19,7 +19,7 @@ from nicolai.ground import (
     replay_word_matrix,
 )
 from nicolai import ground
-from nicolai.ground import _reachability, _start_config, _step_monomial, _word_steps
+from nicolai.ground import _reachability, _search, _start_config, _step_monomial, _word_steps
 from nicolai.model import Interval
 from oracles import footprint_search_tree
 
@@ -351,15 +351,17 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("k,l,start", ORACLE_CASES)
 def test_footprint_search_matches_the_per_move_oracle(k, l, start):
-    # same reached set, same parent for every configuration, same word for
-    # every target
+    # same word for every target, from one search resumed target by target in
+    # lexicographic order (so it stops at shallow and deep levels alike), then
+    # the same reached set and the same parent for every configuration
     oracle = _oracle_reachability(k, l, start)
+    _search.cache_clear()
+    for target in sorted(oracle):
+        assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
     tree = _reachability(k, l, start)
     assert tree == {dst: link and link[0] for dst, link in oracle.items()}
-    for target in oracle:
-        assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
     _oracle_reachability.cache_clear()
-    _reachability.cache_clear()
+    _search.cache_clear()
 
 
 SHIFTED_INTERVALS = [(-2, 1), (-3, 0), (1, 4), (-1, 5)]
@@ -377,7 +379,7 @@ def test_bitwise_search_matches_the_sorted_word_search(k, l, start):
     # entered in the same order
     tree = _reachability(k, l, start)
     assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
-    _reachability.cache_clear()
+    _search.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -392,10 +394,76 @@ def test_search_tree_does_not_depend_on_the_chunk_size(monkeypatch, k, l, start)
     # a budget of a few cells puts every frontier node in a chunk of its own,
     # so a fresh node's smallest parent is found across many chunks
     monkeypatch.setattr(ground, "_CHUNK", 4)
-    _reachability.cache_clear()
+    _search.cache_clear()
     tree = _reachability(k, l, start)
-    _reachability.cache_clear()
+    _search.cache_clear()
     assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
+
+
+@pytest.mark.parametrize("k,l,start", sorted(set(ORACLE_CASES) | set(SORTED_SEARCH_CASES)))
+def test_search_stops_after_the_targets_level(k, l, start):
+    # the tree of a search stopped for a target is the whole search's tree,
+    # in insertion order, up to the end of the target's level: a cold search
+    # stops after the level it needs, and a resumed one goes no deeper than
+    # the deepest target asked for so far
+    full = list(footprint_search_tree(k, l, start).items())
+    depth = {}
+    for node, parent in full:
+        depth[node] = 0 if parent is None else depth[parent] + 1
+    upto = np.cumsum(np.bincount(list(depth.values())))  # nodes of depth <= d
+    for d in range(len(upto)):
+        target = next(node for node, dn in depth.items() if dn == d)
+        _search.cache_clear()
+        assert list(_reachability(k, l, start, target).items()) == full[: upto[d]]
+    _search.cache_clear()
+    tree, deepest = _reachability(k, l, start, full[0][0]), 0
+    for target in sorted(depth):
+        deepest = max(deepest, depth[target])
+        assert _reachability(k, l, start, target) is tree  # grows only by appending
+        assert len(tree) == upto[deepest]
+    assert list(tree.items()) == full
+    _search.cache_clear()
+
+
+@pytest.mark.parametrize("start", ["fock", "occupied"])
+def test_generation_table_runs_one_search(monkeypatch, start):
+    # every target of the table resumes one search; its level loop starts once
+    levels, calls = ground._levels, []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return levels(*args)
+
+    monkeypatch.setattr(ground, "_levels", spy)
+    _search.cache_clear()
+    assert len(generation_table(0, 8, start)) == 4374
+    assert calls == [(0, 8)]
+    _search.cache_clear()
+
+
+def test_interrupted_search_leaves_no_partial_tree(monkeypatch):
+    # a failure in the middle of a level (as a failed allocation would be)
+    # must not leave a cut-short tree that reads as "unreachable" later
+    oracle = _oracle_reachability(0, 6, "fock")
+    deep = next(reversed(oracle))  # a configuration of the last level
+    mark, marks = ground._mark, []
+
+    def failing(bitmap, occs):
+        marks.append(occs.size)
+        if len(marks) == 3:
+            raise MemoryError("interrupted")
+        mark(bitmap, occs)
+
+    _search.cache_clear()
+    monkeypatch.setattr(ground, "_mark", failing)
+    with pytest.raises(MemoryError):
+        _word_steps(0, 6, "fock", deep)
+    monkeypatch.setattr(ground, "_mark", mark)
+    assert len(marks) == 3
+    assert _word_steps(0, 6, "fock", deep) == _oracle_word_steps(0, 6, "fock", deep)
+    assert len(_reachability(0, 6, "fock")) == len(oracle)
+    _oracle_reachability.cache_clear()
+    _search.cache_clear()
 
 
 def test_search_refuses_windows_whose_keys_overflow():
