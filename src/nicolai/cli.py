@@ -19,6 +19,7 @@ usage-error document, with the raw ``argv`` as its params and ``command`` null.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
@@ -28,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .charges import _unpack, _words
+from .charges import _WORD_CHUNK, _unpack, _word_chunks, _words
 from .fock import FockVector, OccupationConfig
 from .ground import (
     GenerationError,
@@ -69,10 +70,11 @@ class _CommandFailure(Exception):
 
 
 class _JSONText:
-    """A payload value given as JSON text, which ``_emit`` writes as is."""
+    """A payload value given as the bytes of its JSON text (any buffer),
+    which ``_write`` writes as is."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, data):
+        self.data = data
 
 
 _SPLICE = "\0"  # argv strings cannot hold NUL, so its JSON form marks one splice
@@ -80,47 +82,61 @@ _SPLICE = "\0"  # argv strings cannot hold NUL, so its JSON form marks one splic
 
 def _document(
     command: Optional[str], params: dict, payload, status: str, started: float
-) -> List[str]:
+) -> list:
     """The JSON document line of a command's result or failure, compact with
-    sorted keys, as pieces to write in order: the ``json.dumps`` text split
-    at its splice markers, with each ``_JSONText`` of the payload between."""
+    sorted keys, as byte pieces to write in order: the encoded ``json.dumps``
+    text split at its splice markers, with each ``_JSONText`` of the payload
+    between."""
     doc = dict(command=command, params=params, payload=payload, status=status)
     doc["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    texts = []
+    spliced = []
 
     def splice(value):
         if not isinstance(value, _JSONText):
             raise TypeError(f"{type(value).__name__} is not JSON serializable")
-        texts.append(value.text)
+        spliced.append(value.data)
         return _SPLICE
 
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice)
-    parts = text.split(json.dumps(_SPLICE))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice) + "\n"
+    parts = text.encode().split(json.dumps(_SPLICE).encode())
     pieces = [parts[0]]
-    for text, part in zip(texts, parts[1:]):
-        pieces += (text, part)
-    pieces.append("\n")
+    for data, part in zip(spliced, parts[1:]):
+        pieces += (data, part)
     return pieces
+
+
+def _write(pieces: list, path: Optional[str]) -> None:
+    """Write byte pieces to the file ``path``, or to stdout when ``path`` is
+    empty or None, each byte once: in binary mode, to ``sys.stdout.buffer`` after the
+    text layer is flushed, looping on partial writes (a raw ``FileIO`` under
+    ``PYTHONUNBUFFERED=1`` may take part of a piece).  A stdout with no
+    binary layer, such as ``io.StringIO``, gets the same text."""
+    if not path and not hasattr(sys.stdout, "buffer"):
+        sys.stdout.write(b"".join(pieces).decode())
+        return
+    sys.stdout.flush()
+    with open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer) as out:
+        for piece in pieces:
+            view = memoryview(piece)
+            while view:
+                view = view[out.write(view) :]
 
 
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
     """Write the result document to ``--output`` or stdout; an ``OSError``
-    propagates to ``main``'s failure handling.  ``csv_rows`` are rows, or the
-    CSV text itself; handlers make them only under ``--format csv``."""
-    if args.format == "csv" and isinstance(csv_rows, str):
-        pieces = [csv_rows]
-    elif args.format == "csv" and csv_rows is not None:
+    propagates to ``main``'s failure handling.  ``csv_rows`` is a list of
+    rows, or the CSV bytes themselves (any buffer); handlers make them only
+    under ``--format csv``."""
+    if args.format == "csv" and isinstance(csv_rows, list):
         import csv  # loaded only when CSV rows are written
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
-        pieces = [buffer.getvalue()]
+        pieces = [buffer.getvalue().encode()]
+    elif args.format == "csv" and csv_rows is not None:
+        pieces = [csv_rows]
     else:
         pieces = _document(command, params, payload, "ok", started)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    _write(pieces, args.output)
     return _EXIT_OK
 
 
@@ -128,7 +144,7 @@ def _emit_failure(
     command: Optional[str], params: dict, reason: str, code: int, started: float
 ) -> int:
     payload = {"code": _REASON_CODES.get(code, "error"), "reason": reason}
-    sys.stdout.writelines(_document(command, params, payload, "failure", started))
+    _write(_document(command, params, payload, "failure", started), None)
     return code
 
 
@@ -143,50 +159,55 @@ def _guard_dimension(size: int, max_dim: int):
         )
 
 
-def _admissible_words(n: int):
-    """The packed admissible words on ``[0..2n]``: the ground configurations,
-    and the conservation sequences with bit 1 for ``+1``."""
+def _word_size(n: int) -> int:
+    """The size ``2n + 1`` of the packed admissible words on ``[0..2n]`` (the
+    ground configurations, and the conservation sequences with bit 1 for
+    ``+1``), for an ``n`` that ``enumerate`` and ``count`` accept."""
     if n > _ENUMERATE_CAP:
         raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
     if n < 1:
         raise ValueError("k < l required")
-    return _words(2 * n + 1)
+    return 2 * n + 1
 
 
 def _spell(
     words: np.ndarray, size: int, letters: str, head: str, tail: str, sep: str,
     opening: str, closing: str,
-) -> str:
+) -> np.ndarray:
     """``opening``, then each packed word as ``head``, its ``size`` letters
     (``letters[b]`` for bit ``b``) and ``tail``, the records joined by
-    ``sep``, then ``closing``, which is as long as ``sep``.
+    ``sep``, then ``closing``, which is as long as ``sep``, as one uint8
+    array of ASCII bytes.
 
-    Every record has the same width, so one byte buffer holds the whole text:
-    ``opening``, then one template record broadcast over all words, whose
-    last separator ``closing`` overwrites.  The unpacked 0/1 letters become
-    ``letters[0] + b * (letters[1] - letters[0])`` in place, in uint8 (which
-    wraps, so either order of the two letters works), and fill the records'
-    letter columns.  The buffer is read once as text."""
+    Every record has the same width, so the buffer is ``opening`` and then
+    one record per word.  One slice of at most ``_WORD_CHUNK`` words at a
+    time, the template record is broadcast over the slice's records and the
+    unpacked 0/1 letters become ``letters[0] + b * (letters[1] - letters[0])``
+    in place, in uint8 (which wraps, so either order of the two letters
+    works), and fill their letter columns.  ``closing`` then overwrites the
+    last separator."""
     template = np.frombuffer((head + " " * size + tail + sep).encode("ascii"), dtype=np.uint8)
     buf = np.empty(len(opening) + words.size * template.size, dtype=np.uint8)
     buf[: len(opening)] = np.frombuffer(opening.encode("ascii"), dtype=np.uint8)
     records = buf[len(opening) :].reshape(words.size, template.size)
-    records[:] = template
-    buf[buf.size - len(sep) :] = np.frombuffer(closing.encode("ascii"), dtype=np.uint8)
     first, second = letters.encode("ascii")
-    cells = _unpack(words, size)
-    cells *= np.uint8((second - first) & 0xFF)
-    cells += np.uint8(first)
-    records[:, len(head) : len(head) + size] = cells
-    return str(memoryview(buf), "ascii")
+    for start in range(0, words.size, _WORD_CHUNK):
+        stop = start + _WORD_CHUNK
+        cells = _unpack(words[start:stop], size)
+        cells *= np.uint8((second - first) & 0xFF)
+        cells += np.uint8(first)
+        records[start:stop] = template
+        records[start:stop, len(head) : len(head) + size] = cells
+    buf[buf.size - len(sep) :] = np.frombuffer(closing.encode("ascii"), dtype=np.uint8)
+    return buf
 
 
 def _cmd_enumerate(args) -> tuple:
     """Items are encoded straight from the packed words: a configuration as
     its 0/1 string, a sequence as ``{"k":0,"l":n,"values":...}`` with ``-``/``+``
     letters, exactly as ``json.dumps`` with sorted keys writes them."""
-    n, size = args.n, 2 * args.n + 1
-    words = _admissible_words(n)
+    n, size = args.n, _word_size(args.n)
+    words = _words(size)
     if args.kind == "ground-configs":
         letters, header, csv_head, head, tail = "01", "config", "", '"', '"'
     else:
@@ -207,7 +228,7 @@ def _cmd_count(args) -> tuple:
             raise _CommandFailure(_EXIT_RESOURCE, f"transfer count capped at n <= {_TRANSFER_CAP}")
         methods["transfer"] = count_transfer(n)
     if args.method in ("enumerate", "both"):
-        methods["enumerate"] = len(_admissible_words(n))
+        methods["enumerate"] = sum(chunk.size for chunk in _word_chunks(_word_size(n)))
     counts = set(methods.values())
     if len(counts) != 1:
         raise _CommandFailure(_EXIT_FAILURE, f"counting methods disagree: {methods}")
@@ -251,8 +272,8 @@ def _cmd_spectrum(args) -> tuple:
         raise _CommandFailure(_EXIT_USAGE, f"sector must lie in [0, {window.size}]")
     report = spectrum(build_supercharge(interval, args.edge), sector)
     if args.format == "csv":
-        return None, report.csv_text()
-    return report.to_json(_JSONText(report.eigenvalues_json())), None
+        return None, report.csv_text().encode()
+    return report.to_json(_JSONText(report.eigenvalues_json().encode())), None
 
 
 def _cmd_generate(args) -> tuple:

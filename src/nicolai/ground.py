@@ -286,10 +286,11 @@ def _search(k: int, l: int, start: str) -> Tuple[Dict[int, Optional[int]], Itera
     """The resumable breadth-first search from a start config: its tree, which
     holds the start alone, and the generator ``_levels`` that adds one whole
     level to it per step.  A window whose search keys overflow int64 is
-    refused here, before any bitmap is allocated."""
+    refused here with ``OverflowError``, a size limit, before any bitmap is
+    allocated."""
     window = Interval(k, l).inner
     if 2 * window.size > 62:
-        raise ValueError(f"a search key of two {window.size}-site states does not fit in int64")
+        raise OverflowError(f"a search key of two {window.size}-site states does not fit in int64")
     tree: Dict[int, Optional[int]] = {_start_config(start, window).occ: None}
     return tree, _levels(tree, k, l)
 

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from nicolai.charges import _words, charge_monomial, enumerate_union
+from nicolai.charges import _STEPS, _words, charge_monomial, enumerate_union
 from nicolai.fock import (
     FermionMonomial,
     FockVector,
@@ -34,6 +34,23 @@ from nicolai.intrank import integer_rank, rows_from_csr
 from nicolai.kernels import monomial_action
 from nicolai.model import Interval, ModelOperators, supercharge_term
 from nicolai.verify import Check
+
+
+def words_in_one_array(size: int) -> np.ndarray:
+    """The admissible words of odd ``size >= 3`` as ``charges._words`` grew
+    them before it filled its array from ``_word_chunks``: every word so far
+    grows into its three extensions, one pair at a time, in one array."""
+    if size == 3:
+        return np.array([0b000, 0b111], dtype=np.int64)
+    choices = np.array([[b | c << 1 for b, c in steps] for steps in _STEPS], dtype=np.int64)
+    words = np.array([0b00, 0b11], dtype=np.int64)
+    for p in range(2, size - 1, 2):
+        if p == size - 3:
+            choices |= (choices & 0b10) << 1
+        grown = np.take(choices << p, (words >> (p - 1)) & 1, axis=0)
+        grown |= words[:, None]
+        words = grown.ravel()
+    return words
 
 
 def graded_commutator(

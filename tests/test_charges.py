@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nicolai import charges
 from nicolai.charges import (
     ConservationSequence,
     _admissible,
     _alternates,
     _first_word,
+    _word_chunks,
     _words,
     charge_monomial,
     enumerate_sequences,
@@ -33,7 +35,7 @@ from nicolai.fock import (
 )
 from nicolai.ground import count_transfer, enumerate_upsilon_hat
 from nicolai.model import build_supercharge, supercharge_term
-from oracles import particle_hole_unitary
+from oracles import particle_hole_unitary, words_in_one_array
 
 
 def _seq(k, l, text):
@@ -215,6 +217,18 @@ def test_bulk_words_match_depth_first_oracle(size):
     words = _words(size)
     assert words.dtype == "int64"
     assert words.tolist() == list(_walk_oracle(size))
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("size", range(3, 26, 2))
+def test_word_chunks_concatenate_to_the_one_array_words(monkeypatch, size, split):
+    expected = words_in_one_array(size)
+    if split:  # a chunk length that splits every size into several chunks
+        monkeypatch.setattr(charges, "_WORD_CHUNK", max(1, expected.size // 5))
+    chunks = list(_word_chunks(size))
+    assert all(c.dtype == "int64" and 0 < c.size <= charges._WORD_CHUNK for c in chunks)
+    assert len(chunks) > 1 or not split
+    assert np.concatenate(chunks).tolist() == expected.tolist() == _words(size).tolist()
 
 
 @st.composite

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -670,8 +671,9 @@ def test_overflow_is_resource_limit(capsys, monkeypatch):
     ("", "MemoryError"),
 ])
 def test_failed_allocation_is_resource_limit(capsys, monkeypatch, message, reason):
-    # at n = 20 the search's bitmap over 2^41 states would take 256 GiB; the
-    # failed allocation is raised in its place, so nothing is allocated
+    # at n = 20 the search refuses the 41-site window before it allocates
+    # anything (its int64 keys overflow), so no command line reaches a failed
+    # allocation here; the patched search raises the MemoryError in its place
     def allocating(*args, **kwargs):
         raise MemoryError(message)
 
@@ -682,6 +684,108 @@ def test_failed_allocation_is_resource_limit(capsys, monkeypatch, message, reaso
     assert code == 3 and doc["status"] == "failure" and doc["command"] == "generate"
     assert doc["payload"] == {"code": "resource-limit", "reason": reason}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_generate_beyond_the_search_key_is_resource_limit(capsys):
+    # from n = 16 (33 sites) two states no longer fit in one int64 search key
+    code, out = _run(capsys, "--max-dim", str(1 << 62), "generate", "--n", "16",
+                     "--target", "0" * 33)
+    assert code == 3
+    assert re.sub(r'"elapsed_ms":[^,}]+,', "", out) == (
+        '{"command":"generate","params":{"command":"generate","n":16,"seed":0,'
+        '"start":"fock","target":"000000000000000000000000000000000"},'
+        '"payload":{"code":"resource-limit",'
+        '"reason":"a search key of two 33-site states does not fit in int64"},'
+        '"status":"failure"}\n'
+    )
+
+
+def test_count_keeps_no_word_list(capsys):
+    # the 354,294 words of n = 12 take 2.8 MB as one int64 array
+    tracemalloc.start()
+    try:
+        assert main(["count", "--n", "12"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["payload"]["count"] == 354294
+    assert peak < 1 << 20
+
+
+def _masked(out):
+    return re.sub(rb'"elapsed_ms":[^,}]+,', b"", out)
+
+
+# one command line per way a document is written: spliced JSON items, CSV
+# bytes, CSV rows, plain JSON, spliced eigenvalues, and a failure document
+_WRITER_LINES = [
+    ["enumerate", "charges", "--n", "10"],
+    ["--format", "csv", "enumerate", "ground-configs", "--n", "6"],
+    ["--format", "csv", "count", "--n", "5"],
+    ["count", "--n", "5"],
+    ["spectrum", "--n", "3", "--edge", "open"],
+    ["enumerate", "charges", "--n", "13"],
+]
+
+
+class _RawStdout(io.RawIOBase):
+    """A raw binary stdout that takes at most 4096 bytes per write, as
+    ``FileIO`` on a pipe may."""
+
+    def __init__(self):
+        self.received = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(memoryview(data)[:4096])
+        self.received += taken
+        return len(taken)
+
+
+@pytest.mark.parametrize("argv", _WRITER_LINES, ids=" ".join)
+def test_partial_writes_deliver_the_whole_document(capsys, monkeypatch, argv):
+    code, expected = _run(capsys, *argv)
+    raw = _RawStdout()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert main(argv) == code
+    assert _masked(bytes(raw.received)) == _masked(expected.encode())
+
+
+@pytest.mark.parametrize("argv", _WRITER_LINES, ids=" ".join)
+def test_text_only_stdout_gets_the_same_text(capsys, argv):
+    code, expected = _run(capsys, *argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code
+    assert _masked(out.getvalue().encode()) == _masked(expected.encode())
+
+
+@pytest.mark.parametrize("argv", _WRITER_LINES[:5], ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    code, expected = _run(capsys, *argv)
+    assert _run(capsys, "--output", str(target), *argv) == (code, "")
+    assert _masked(target.read_bytes()) == _masked(expected.encode())
+
+
+def test_stdout_bytes_do_not_depend_on_buffering():
+    src = str(Path(nicolai.__file__).resolve().parents[1])
+    outs = []
+    for unbuffered in (True, False):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        runs = [
+            subprocess.run([sys.executable, "-m", "nicolai.cli", *argv], env=env,
+                           capture_output=True)
+            for argv in (_WRITER_LINES[0], _WRITER_LINES[1], _WRITER_LINES[5])
+        ]
+        outs.append([(p.returncode, _masked(p.stdout), p.stderr) for p in runs])
+    assert outs[0] == outs[1]
+    assert [code for code, _, _ in outs[0]] == [0, 0, 3]
 
 
 def test_commands_import_no_scipy():

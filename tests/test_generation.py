@@ -467,9 +467,9 @@ def test_interrupted_search_leaves_no_partial_tree(monkeypatch):
 
 
 def test_search_refuses_windows_whose_keys_overflow():
-    # two 33-site states do not fit in one int64 key; refused before the
-    # reached-bitmap is allocated
-    with pytest.raises(ValueError, match="does not fit in int64"):
+    # two 33-site states do not fit in one int64 key; refused as a size
+    # limit before the reached-bitmap is allocated
+    with pytest.raises(OverflowError, match="does not fit in int64"):
         _reachability(0, 16, "fock")
 
 

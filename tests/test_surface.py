@@ -65,7 +65,8 @@ def test_readme_private_names_exist():
 @pytest.mark.parametrize("name", ["charges", "verify"])
 def test_only_the_stack_builders_cross_the_fock_boundary(name):
     # the wide stack is an ordinary operator, so the checks need no private
-    # product, transpose or comparison from fock
+    # product, transpose or comparison from fock; ``_CHUNK`` is the one
+    # memory bound, which also sizes the word chunks of charges
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     imported = {
         alias.name
@@ -73,7 +74,8 @@ def test_only_the_stack_builders_cross_the_fock_boundary(name):
         if isinstance(node, ast.ImportFrom) and node.module == "fock"
         for alias in node.names
     }
-    assert imported and {x for x in imported if x.startswith("_")} <= {"_build_stack", "_max_blocks"}
+    allowed = {"_build_stack", "_max_blocks", "_CHUNK"}
+    assert imported and {x for x in imported if x.startswith("_")} <= allowed
 
 
 def test_every_definition_is_named_outside_it():
