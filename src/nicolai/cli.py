@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -77,7 +78,7 @@ class _JSONText:
         self.data = data
 
 
-_SPLICE = "\0"  # argv strings cannot hold NUL, so its JSON form marks one splice
+_SPLICE = "\0"  # its JSON form marks one splice; see ``_document``
 
 
 def _document(
@@ -86,7 +87,9 @@ def _document(
     """The JSON document line of a command's result or failure, compact with
     sorted keys, as byte pieces to write in order: the encoded ``json.dumps``
     text split at its splice markers, with each ``_JSONText`` of the payload
-    between."""
+    between.  Only a document with a ``_JSONText`` is split, so a param that is a
+    NUL stays whole: ``enumerate`` and ``spectrum`` splice, once every param has
+    read as a choice or an integer."""
     doc = dict(command=command, params=params, payload=payload, status=status)
     doc["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
     spliced = []
@@ -98,28 +101,48 @@ def _document(
         return _SPLICE
 
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice) + "\n"
+    if not spliced:
+        return [text.encode()]
     parts = text.encode().split(json.dumps(_SPLICE).encode())
+    if len(parts) != len(spliced) + 1:
+        raise ValueError(f"{len(parts) - 1} splice markers for {len(spliced)} spliced values")
     pieces = [parts[0]]
     for data, part in zip(spliced, parts[1:]):
         pieces += (data, part)
     return pieces
 
 
+class _StdoutLost(Exception):
+    """Stdout refused a write: ``main`` exits 2, as for an unwritable ``--output``."""
+
+
 def _write(pieces: list, path: Optional[str]) -> None:
     """Write byte pieces to the file ``path``, or to stdout when ``path`` is
     empty or None, each byte once: in binary mode, to ``sys.stdout.buffer`` after the
     text layer is flushed, looping on partial writes (a raw ``FileIO`` under
-    ``PYTHONUNBUFFERED=1`` may take part of a piece).  A stdout with no
-    binary layer, such as ``io.StringIO``, gets the same text."""
+    ``PYTHONUNBUFFERED=1`` may take part of a piece), then flushed.  A stdout
+    with no binary layer, such as ``io.StringIO``, gets the same text.  An
+    ``OSError`` on stdout points its descriptor at ``os.devnull``, so the flush
+    at exit cannot fail again, and raises ``_StdoutLost``."""
     if not path and not hasattr(sys.stdout, "buffer"):
         sys.stdout.write(b"".join(pieces).decode())
         return
-    sys.stdout.flush()
-    with open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer) as out:
-        for piece in pieces:
-            view = memoryview(piece)
-            while view:
-                view = view[out.write(view) :]
+    try:
+        sys.stdout.flush()
+        with open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer) as out:
+            for piece in pieces:
+                view = memoryview(piece)
+                while view:
+                    view = view[out.write(view) :]
+            out.flush()
+    except OSError as exc:
+        if path:
+            raise
+        with contextlib.suppress(OSError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise _StdoutLost from exc
 
 
 def _emit(args, command: str, params: dict, payload, started: float, csv_rows=None) -> int:
@@ -412,7 +435,7 @@ def _parse(argv: List[str]) -> SimpleNamespace:
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            sys.stdout.write(_help(command))
+            _write([_help(command).encode()], None)
             raise SystemExit(0)
         name, eq, value = token.partition("=")
         if name in options:
@@ -439,6 +462,13 @@ def _parse(argv: List[str]) -> SimpleNamespace:
 def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _run(argv, started)
+    except _StdoutLost:
+        return _EXIT_USAGE
+
+
+def _run(argv: List[str], started: float) -> int:
     try:
         args = _parse(argv)
     except _CommandFailure as failure:

@@ -14,15 +14,15 @@ shortest action word by breadth-first search over configurations and returns
 a replayable certificate with its exact sign.  The search tests every charge
 footprint of a frontier chunk in one array operation, not each charge once per
 configuration; ties go to the smallest parent, then to the plain action before
-the adjoint.  It stops after the target's level and resumes there for a later
-target on the same interval from the same start.
+the adjoint.  Each call runs its own search, which stops after the target's
+level; ``generation_table`` runs one whole search and reads every word from
+its tree.  Nothing is cached or resumed between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,17 +82,12 @@ def is_ground_config(g: OccupationConfig) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _upsilon_hat_cached(k: int, l: int) -> Tuple[OccupationConfig, ...]:
-    window = Interval(k, l).inner
-    return tuple(OccupationConfig(window, occ) for occ in _words(window.size).tolist())
-
-
 def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
     """All open-boundary ground configurations on ``[2k..2l]``, lexicographic."""
     if k >= l:
         raise ValueError("k < l required")
-    return list(_upsilon_hat_cached(k, l))
+    window = Interval(k, l).inner
+    return [OccupationConfig(window, occ) for occ in _words(window.size).tolist()]
 
 
 def count_transfer(n: int) -> int:
@@ -281,23 +276,15 @@ def _mark(bitmap: np.ndarray, occs: np.ndarray) -> None:
     bitmap[byte[starts]] |= np.bitwise_or.reduceat(bits, starts)
 
 
-@lru_cache(maxsize=None)
-def _search(k: int, l: int, start: str) -> Tuple[Dict[int, Optional[int]], Iterator[None]]:
-    """The resumable breadth-first search from a start config: its tree, which
-    holds the start alone, and the generator ``_levels`` that adds one whole
-    level to it per step.  A window whose search keys overflow int64 is
-    refused here with ``OverflowError``, a size limit, before any bitmap is
-    allocated."""
-    window = Interval(k, l).inner
-    if 2 * window.size > 62:
-        raise OverflowError(f"a search key of two {window.size}-site states does not fit in int64")
-    tree: Dict[int, Optional[int]] = {_start_config(start, window).occ: None}
-    return tree, _levels(tree, k, l)
-
-
-def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
-    """Grow the search tree ``tree``, which holds the start alone, one level
-    per step, until nothing new appears.
+def _reachability(
+    k: int, l: int, start: str, target: Optional[int] = None
+) -> Dict[int, Optional[int]]:
+    """The tree of the breadth-first search from a start config, grown until
+    it holds the level of the configuration ``target``, or to the end (every
+    reachable configuration) when ``target`` is None or unreachable.  Each
+    configuration maps to its parent, the start to ``None``.  A window whose
+    search keys overflow int64 is refused with ``OverflowError``, a size
+    limit, before any bitmap is allocated.
 
     The search runs one whole frontier at a time over the charge footprints
     ``[2lo..2hi]`` of the interval.  A charge acts on a product state when the
@@ -322,7 +309,7 @@ def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
     held at a time.  Reached configurations are bits of one bitmap over the
     window's states.
 
-    Each step inserts a level's configurations, mapped to their parents, in
+    Each level's configurations enter the tree, mapped to their parents, in
     ascending order.  Ties break as a scan of the frontier in ascending order
     and of moves in ``enumerate_union`` order would: the parent is the
     smallest frontier node reaching the configuration, and ``_step`` takes the
@@ -332,6 +319,9 @@ def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
     """
     window = Interval(k, l).inner
     w = window.size
+    if 2 * w > 62:
+        raise OverflowError(f"a search key of two {w}-site states does not fit in int64")
+    tree: Dict[int, Optional[int]] = {_start_config(start, window).occ: None}
     flips, masks = [], []
     for m in range(1, l - k + 1):
         size = 2 * m + 1
@@ -346,7 +336,7 @@ def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
     reached = np.zeros((window.dimension + 7) // 8, dtype=np.uint8)
     frontier = np.array(list(tree), dtype=np.int64)
     _mark(reached, frontier)
-    while frontier.size:
+    while frontier.size and target not in tree:
         level = []
         for lo in range(0, frontier.size, rows):
             src = frontier[lo : lo + rows]
@@ -362,31 +352,6 @@ def _levels(tree: Dict[int, Optional[int]], k: int, l: int) -> Iterator[None]:
         keys = np.sort(np.concatenate(level))
         frontier = keys >> w
         tree.update(zip(frontier.tolist(), (keys & (window.dimension - 1)).tolist()))
-        yield
-
-
-def _reachability(
-    k: int, l: int, start: str, target: Optional[int] = None
-) -> Dict[int, Optional[int]]:
-    """The search tree of ``_search(k, l, start)``, grown until it holds the
-    level of the configuration ``target``, or to the end (every reachable
-    configuration) when ``target`` is None or unreachable.
-
-    Each configuration maps to its parent, the start to ``None``.  Later
-    calls resume the same search, so the levels are searched once per
-    ``(k, l, start)`` however many targets follow.  An exception while a
-    level grows drops every cached search: its generator has ended with the
-    tree cut short, which would otherwise read as unreachable.
-    """
-    tree, levels = _search(k, l, start)
-    try:
-        if target not in tree:
-            for _ in levels:
-                if target in tree:
-                    break
-    except BaseException:
-        _search.cache_clear()
-        raise
     return tree
 
 
@@ -403,20 +368,26 @@ def _step(k: int, node: int, dst: int) -> Tuple[ConservationSequence, bool]:
     return ConservationSequence(lo, lo + size // 2, values, check=False), adjoint
 
 
-def _word_steps(k: int, l: int, start: str, target_occ: int):
-    tree = _reachability(k, l, start, target_occ)
-    if target_occ not in tree:
+def _word(
+    tree: Dict[int, Optional[int]], start: str, k: int, l: int, target: OccupationConfig
+) -> GenerationWord:
+    """The word of the search tree ``tree`` from the start config to
+    ``target``, with the sign of its ladder-walk replay."""
+    if target.occ not in tree:
         raise GenerationError(
-            f"configuration {target_occ:b} on interval ({k},{l}) is unreachable "
+            f"configuration {target.occ:b} on interval ({k},{l}) is unreachable "
             f"from the {start} vector: generation theorem violated at this size"
         )
     chain = []
-    dst, node = target_occ, tree[target_occ]
+    dst, node = target.occ, tree[target.occ]
     while node is not None:
         chain.append(_step(k, node, dst))
         dst, node = node, tree[node]
-    chain.reverse()
-    return tuple(chain)
+    steps = tuple(reversed(chain))
+    cfg, sign = replay_word_config(GenerationWord(start, k, l, steps, target, 1))
+    if cfg != target:
+        raise GenerationError("BFS certificate replayed to the wrong configuration")
+    return GenerationWord(start, k, l, steps, target, sign)
 
 
 def replay_word_config(word: GenerationWord):
@@ -483,19 +454,15 @@ def generate_word(
         raise ValueError("target does not live on the interval window")
     if not _admissible(target.occ, window.size):
         raise ValueError("target is not an open-boundary ground configuration")
-    steps = _word_steps(k, l, start, target.occ)
-    word = GenerationWord(start, k, l, steps, target, 1)
-    cfg, sign = replay_word_config(word)
-    if cfg != target:
-        raise GenerationError("BFS certificate replayed to the wrong configuration")
-    return GenerationWord(start, k, l, steps, target, sign)
+    return _word(_reachability(k, l, start, target.occ), start, k, l, target)
 
 
 def generation_table(k: int, l: int, start: str) -> Dict[str, GenerationWord]:
-    """Generation words for every open-boundary ground configuration."""
-    return {
-        g.to_string(): generate_word(g, start, k, l) for g in enumerate_upsilon_hat(k, l)
-    }
+    """Generation words for every open-boundary ground configuration, all
+    read from the tree of one whole search."""
+    configs = enumerate_upsilon_hat(k, l)
+    tree = _reachability(k, l, start)
+    return {g.to_string(): _word(tree, start, k, l, g) for g in configs}
 
 
 # -- extension of partial configurations -------------------------------------

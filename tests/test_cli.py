@@ -14,11 +14,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nicolai
 from nicolai.charges import enumerate_sequences
-from nicolai.cli import main
+from nicolai.cli import _JSONText, _document, main
 from nicolai.ground import enumerate_upsilon_hat
 from nicolai.model import SpectrumReport, build_supercharge, spectrum
 
@@ -770,22 +770,59 @@ def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
     assert _masked(target.read_bytes()) == _masked(expected.encode())
 
 
+def _cli_env(unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(nicolai.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_stdout_bytes_do_not_depend_on_buffering():
-    src = str(Path(nicolai.__file__).resolve().parents[1])
     outs = []
     for unbuffered in (True, False):
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         runs = [
-            subprocess.run([sys.executable, "-m", "nicolai.cli", *argv], env=env,
+            subprocess.run([sys.executable, "-m", "nicolai.cli", *argv], env=_cli_env(unbuffered),
                            capture_output=True)
             for argv in (_WRITER_LINES[0], _WRITER_LINES[1], _WRITER_LINES[5])
         ]
         outs.append([(p.returncode, _masked(p.stdout), p.stderr) for p in runs])
     assert outs[0] == outs[1]
     assert [code for code, _, _ in outs[0]] == [0, 0, 3]
+
+
+def test_document_refuses_a_marker_that_is_no_splice():
+    # a spliced document whose params also hold a NUL cannot be split safely
+    with pytest.raises(ValueError, match="2 splice markers for 1 spliced values"):
+        _document("enumerate", {"kind": "\x00"}, {"items": _JSONText(b"[]")}, "ok", 0.0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "3"),  # a result document
+    ("count", "--n", "13"),  # a failure document
+    ("--help",),
+])
+def test_full_stdout_exits_two_in_silence(unbuffered, argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "nicolai.cli", *argv],
+                              env=_cli_env(unbuffered), stdout=full, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_two_in_silence(unbuffered):
+    # the reader stops after 10 bytes of an 18 MB document
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nicolai.cli", "enumerate", "charges", "--n", "12"],
+        env=_cli_env(unbuffered), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"")
 
 
 def test_commands_import_no_scipy():
@@ -900,6 +937,7 @@ def test_enumerate_keeps_its_failure_documents(capsys, kind, fmt):
     ("verify",),
     ("--seed", "x", "count", "--n", "3"),
     ("count", "--n", "3", "extra"),
+    ("\x00",),
 ])
 def test_bad_command_line_is_usage_error_document(capsys, argv):
     code = main(list(argv))
@@ -1090,6 +1128,8 @@ _targets = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-2, 5), _targets, st.sampled_from(["fock", "occupied"]))
+@example(0, "\x00", "fock")  # a param whose JSON text is that of a splice marker
+@example(2, "\x00", "occupied")
 def test_fuzzed_generate_ends_in_one_document(n, target, start):
     code, out = _run_quietly(["generate", "--n", str(n), "--target", target, "--start", start])
     doc = _one_document(code, out)

@@ -19,7 +19,7 @@ from nicolai.ground import (
     replay_word_matrix,
 )
 from nicolai import ground
-from nicolai.ground import _reachability, _search, _start_config, _step_monomial, _word_steps
+from nicolai.ground import _reachability, _start_config, _step, _step_monomial
 from nicolai.model import Interval
 from oracles import footprint_search_tree
 
@@ -351,17 +351,16 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("k,l,start", ORACLE_CASES)
 def test_footprint_search_matches_the_per_move_oracle(k, l, start):
-    # same word for every target, from one search resumed target by target in
-    # lexicographic order (so it stops at shallow and deep levels alike), then
-    # the same reached set and the same parent for every configuration
+    # the same reached set, the same parent for every configuration and the
+    # same move on every edge, so the same word for every target
     oracle = _oracle_reachability(k, l, start)
-    _search.cache_clear()
-    for target in sorted(oracle):
-        assert _word_steps(k, l, start, target) == _oracle_word_steps(k, l, start, target)
     tree = _reachability(k, l, start)
     assert tree == {dst: link and link[0] for dst, link in oracle.items()}
+    for node, link in oracle.items():
+        if link is not None:
+            parent, move = link
+            assert _step(k, parent, node) == _move_step(k, l, move)
     _oracle_reachability.cache_clear()
-    _search.cache_clear()
 
 
 SHIFTED_INTERVALS = [(-2, 1), (-3, 0), (1, 4), (-1, 5)]
@@ -379,7 +378,6 @@ def test_bitwise_search_matches_the_sorted_word_search(k, l, start):
     # entered in the same order
     tree = _reachability(k, l, start)
     assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
-    _search.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -394,18 +392,15 @@ def test_search_tree_does_not_depend_on_the_chunk_size(monkeypatch, k, l, start)
     # a budget of a few cells puts every frontier node in a chunk of its own,
     # so a fresh node's smallest parent is found across many chunks
     monkeypatch.setattr(ground, "_CHUNK", 4)
-    _search.cache_clear()
     tree = _reachability(k, l, start)
-    _search.cache_clear()
     assert list(tree.items()) == list(footprint_search_tree(k, l, start).items())
 
 
 @pytest.mark.parametrize("k,l,start", sorted(set(ORACLE_CASES) | set(SORTED_SEARCH_CASES)))
 def test_search_stops_after_the_targets_level(k, l, start):
     # the tree of a search stopped for a target is the whole search's tree,
-    # in insertion order, up to the end of the target's level: a cold search
-    # stops after the level it needs, and a resumed one goes no deeper than
-    # the deepest target asked for so far
+    # in insertion order, up to the end of the target's level: the search
+    # stops after the level it needs, at every depth
     full = list(footprint_search_tree(k, l, start).items())
     depth = {}
     for node, parent in full:
@@ -413,32 +408,31 @@ def test_search_stops_after_the_targets_level(k, l, start):
     upto = np.cumsum(np.bincount(list(depth.values())))  # nodes of depth <= d
     for d in range(len(upto)):
         target = next(node for node, dn in depth.items() if dn == d)
-        _search.cache_clear()
         assert list(_reachability(k, l, start, target).items()) == full[: upto[d]]
-    _search.cache_clear()
-    tree, deepest = _reachability(k, l, start, full[0][0]), 0
-    for target in sorted(depth):
-        deepest = max(deepest, depth[target])
-        assert _reachability(k, l, start, target) is tree  # grows only by appending
-        assert len(tree) == upto[deepest]
-    assert list(tree.items()) == full
-    _search.cache_clear()
+
+
+def test_search_keeps_no_tree_between_calls():
+    # a caller may change the tree it was given; the next search is its own
+    oracle = footprint_search_tree(0, 4, "fock")
+    tree = _reachability(0, 4, "fock")
+    assert tree == oracle
+    tree.clear()
+    tree[0] = 0
+    assert _reachability(0, 4, "fock") == oracle
 
 
 @pytest.mark.parametrize("start", ["fock", "occupied"])
 def test_generation_table_runs_one_search(monkeypatch, start):
-    # every target of the table resumes one search; its level loop starts once
-    levels, calls = ground._levels, []
+    # every word of the table is read from one whole search
+    search, calls = ground._reachability, []
 
     def spy(*args):
-        calls.append(args[1:])
-        return levels(*args)
+        calls.append(args)
+        return search(*args)
 
-    monkeypatch.setattr(ground, "_levels", spy)
-    _search.cache_clear()
+    monkeypatch.setattr(ground, "_reachability", spy)
     assert len(generation_table(0, 8, start)) == 4374
-    assert calls == [(0, 8)]
-    _search.cache_clear()
+    assert calls == [(0, 8, start)]
 
 
 def test_interrupted_search_leaves_no_partial_tree(monkeypatch):
@@ -446,6 +440,7 @@ def test_interrupted_search_leaves_no_partial_tree(monkeypatch):
     # must not leave a cut-short tree that reads as "unreachable" later
     oracle = _oracle_reachability(0, 6, "fock")
     deep = next(reversed(oracle))  # a configuration of the last level
+    target = OccupationConfig(Interval(0, 6).inner, deep)
     mark, marks = ground._mark, []
 
     def failing(bitmap, occs):
@@ -454,16 +449,14 @@ def test_interrupted_search_leaves_no_partial_tree(monkeypatch):
             raise MemoryError("interrupted")
         mark(bitmap, occs)
 
-    _search.cache_clear()
     monkeypatch.setattr(ground, "_mark", failing)
     with pytest.raises(MemoryError):
-        _word_steps(0, 6, "fock", deep)
+        generate_word(target, "fock", 0, 6)
     monkeypatch.setattr(ground, "_mark", mark)
     assert len(marks) == 3
-    assert _word_steps(0, 6, "fock", deep) == _oracle_word_steps(0, 6, "fock", deep)
+    assert generate_word(target, "fock", 0, 6).steps == _oracle_word_steps(0, 6, "fock", deep)
     assert len(_reachability(0, 6, "fock")) == len(oracle)
     _oracle_reachability.cache_clear()
-    _search.cache_clear()
 
 
 def test_search_refuses_windows_whose_keys_overflow():
