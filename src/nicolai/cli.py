@@ -48,8 +48,8 @@ _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 
 _ENUMERATE_CAP = 12  # direct enumeration bound for enumerate and count
-# Matrix suite bound for verify: the slowest suite (charges) takes 0.08-0.09 s
-# in process at n = 6 and 0.6-0.7 s at n = 7 (2-vCPU host), about 7x per step.
+# Matrix suite bound for verify: the slowest suite (charges) takes 0.06-0.07 s
+# in process at n = 6 and 0.41-0.45 s at n = 7 (2-vCPU host), about 6.5x per step.
 _VERIFY_CAP = 6
 # Transfer count bound: 2 * 3**(n-1) must print, and Python refuses to turn an
 # int of more than 4300 digits into text (n = 9000 gives 4294 digits).

@@ -119,6 +119,8 @@ class OccupationConfig:
 
     @classmethod
     def from_string(cls, window: SiteWindow, text: str) -> "OccupationConfig":
+        if not text.isascii():  # int() reads every Unicode decimal digit
+            raise ValueError("bits must be 0 or 1")
         return cls.from_bits(window, (int(ch) for ch in text))
 
     @property

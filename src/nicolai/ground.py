@@ -21,6 +21,7 @@ its tree.  Nothing is cached or resumed between calls.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -45,7 +46,7 @@ from .fock import (
     apply_monomial,
 )
 from .kernels import closed_form
-from .model import Interval, build_supercharge
+from .model import Interval, supercharge_term
 
 __all__ = [
     "GenerationError",
@@ -126,31 +127,32 @@ def _embed_with_edges(psi: FockVector, k: int, l: int, left: int, right: int) ->
     return FockVector(outer, amplitudes)
 
 
+def _pair_kills(terms: List[FermionMonomial], vec: FockVector) -> bool:
+    """True when ``Q = sum(terms)`` and ``Q*`` both annihilate ``vec``."""
+    adjoints = [t.adjoint() for t in terms]
+    return all(_apply_closed_form(ms, vec).is_zero() for ms in (terms, adjoints))
+
+
 def is_open_edge_susy_vector(psi: FockVector, k: int, l: int) -> bool:
     """Open-edge test: every edge-dressed extension is killed by ``Q`` and ``Q*``.
 
     The four basis dressings of the two edge sites span all extensions, so
-    checking those suffices (exact integer arithmetic throughout).
+    checking those suffices.  The terms ``q(k..l)`` act on the vector's own
+    entries in exact integer arithmetic, at any window size.
     """
-    m = build_supercharge((k, l), "open")
-    for left in (0, 1):
-        for right in (0, 1):
-            lifted = _embed_with_edges(psi, k, l, left, right)
-            if not m.Q.apply(lifted).is_zero():
-                return False
-            if not m.Qdag.apply(lifted).is_zero():
-                return False
-    return True
+    terms = [supercharge_term(i) for i in range(k, l + 1)]
+    dressed = (_embed_with_edges(psi, k, l, a, b) for a in (0, 1) for b in (0, 1))
+    return all(_pair_kills(terms, v) for v in dressed)
 
 
 def is_close_edge_susy_vector(psi: FockVector, k: int, l: int) -> bool:
-    """Close-edge test: the interior supercharge pair kills the vector itself."""
+    """Close-edge test: the interior terms ``q(k+1..l-1)`` and their adjoints
+    kill the vector itself."""
     if k + 1 >= l:
         raise ValueError("close-edge test requires k + 1 < l")
-    m = build_supercharge((k, l), "closed")
-    if psi.window != m.window:
+    if psi.window != Interval(k, l).inner:
         raise ValueError("vector does not live on the inner interval window")
-    return m.Q.apply(psi).is_zero() and m.Qdag.apply(psi).is_zero()
+    return _pair_kills([supercharge_term(i) for i in range(k + 1, l)], psi)
 
 
 # -- charge action on configurations ----------------------------------------
@@ -404,23 +406,23 @@ def replay_word_config(word: GenerationWord):
     return cfg, sign
 
 
-def _apply_closed_form(m: FermionMonomial, v: FockVector) -> FockVector:
-    """``m`` applied to ``v`` through its ``kernels.closed_form`` masks, entry
-    by entry (a surviving state has exactly one image, so no two collide)."""
+def _apply_closed_form(monomials: List[FermionMonomial], v: FockVector) -> FockVector:
+    """The sum of ``monomials`` applied to ``v`` through their
+    ``kernels.closed_form`` masks, entry by entry: a surviving state has
+    exactly one image under each monomial, so only the sum adds entries."""
     window = v.window
-    form = closed_form([(window.bit(s), d) for s, d in reversed(m.factors)])
-    if form is None:
-        return FockVector.zero(window)
-    support, required, flip, const, parity = form
-    c = const * m.coefficient
-    return FockVector(
-        window,
-        {
-            idx ^ flip: -c * amp if (idx & parity).bit_count() & 1 else c * amp
-            for idx, amp in v.amplitudes.items()
-            if idx & support == required
-        },
-    )
+    out: dict = {}
+    for m in monomials:
+        form = closed_form([(window.bit(s), d) for s, d in reversed(m.factors)])
+        if form is None:
+            continue
+        support, required, flip, const, parity = form
+        c = const * m.coefficient
+        for idx, amp in v.amplitudes.items():
+            if idx & support == required:
+                x = -c * amp if (idx & parity).bit_count() & 1 else c * amp
+                out[idx ^ flip] = out.get(idx ^ flip, 0) + x
+    return FockVector(window, out)
 
 
 def replay_word_matrix(word: GenerationWord) -> FockVector:
@@ -433,7 +435,7 @@ def replay_word_matrix(word: GenerationWord) -> FockVector:
     window = Interval(word.k, word.l).inner
     vec = FockVector.from_config(_start_config(word.start, window))
     for f, adjoint in word.steps:
-        vec = _apply_closed_form(_step_monomial(f, adjoint), vec)
+        vec = _apply_closed_form([_step_monomial(f, adjoint)], vec)
     return vec
 
 
@@ -480,7 +482,7 @@ def extend_to_interval(assignment: Mapping[int, int]):
     """
     if not assignment:
         raise ValueError("empty assignment")
-    fixed = {int(s): int(b) for s, b in assignment.items()}
+    fixed = {operator.index(s): operator.index(b) for s, b in assignment.items()}
     if any(b not in (0, 1) for b in fixed.values()):
         raise ValueError("bits must be 0 or 1")
     for center in sorted(fixed):

@@ -16,8 +16,8 @@ window: ``Q`` is nilpotent, odd under ``(-1)**N``, and ``H`` commutes with
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,17 +80,18 @@ class ModelOperators:
     H: IntegerSparseOperator
 
 
-@lru_cache(maxsize=None)
-def _build_supercharge_cached(k: int, l: int, edge_mode: str) -> ModelOperators:
-    interval = Interval(k, l)
+def build_supercharge(interval: Union[Interval, Tuple[int, int]], edge_mode: str) -> ModelOperators:
+    """Construct the finite-interval supercharges and Hamiltonian."""
+    if not isinstance(interval, Interval):
+        interval = Interval(*interval)
     if edge_mode == "open":
         window = interval.enlarged
-        indices = range(k, l + 1)
+        indices = range(interval.k, interval.l + 1)
     elif edge_mode == "closed":
-        if k + 1 >= l:
+        if interval.k + 1 >= interval.l:
             raise ValueError("closed edge mode requires k + 1 < l")
         window = interval.inner
-        indices = range(k + 1, l)
+        indices = range(interval.k + 1, interval.l)
     else:
         raise ValueError(f"edge_mode must be 'open' or 'closed', got {edge_mode!r}")
     terms = tuple(supercharge_term(i) for i in indices)
@@ -101,13 +102,6 @@ def _build_supercharge_cached(k: int, l: int, edge_mode: str) -> ModelOperators:
     h = build_matrix([FermionMonomial(a.coefficient * b.coefficient, a.factors + b.factors)
                       for x, y in near for a, b in ((x, y), (y, x))], window)
     return ModelOperators(interval, edge_mode, window, terms, q, q.adjoint(), h)
-
-
-def build_supercharge(interval: Union[Interval, Tuple[int, int]], edge_mode: str) -> ModelOperators:
-    """Construct (and memoize) the finite-interval supercharges and Hamiltonian."""
-    if not isinstance(interval, Interval):
-        interval = Interval(*interval)
-    return _build_supercharge_cached(interval.k, interval.l, edge_mode)
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def spectrum(m: ModelOperators, sector: Union[int, str] = "all") -> SpectrumRepo
     if sector == "all":
         sectors = range(size + 1)
     else:
-        sector = int(sector)
+        sector = operator.index(sector)
         if not 0 <= sector <= size:
             raise ValueError(f"sector {sector} exceeds window size {size}")
         sectors = [sector]

@@ -336,3 +336,20 @@ def classification_by_config(n: int) -> List[Check]:
     if n >= 2:
         checks.append(Check(f"open-edge SUSY => close-edge SUSY [n={n}]", implication))
     return checks
+
+
+def susy_by_matrix(m: ModelOperators, psi: FockVector) -> bool:
+    """The vector tests of ``nicolai.ground`` from the whole-window matrices of
+    ``m``: ``Q`` and ``Q*`` kill ``psi`` itself in closed edge mode, and each
+    of its four edge-dressed lifts to the enlarged window in open edge mode."""
+    if psi.window != m.interval.inner:
+        raise ValueError("vector does not live on the inner interval window")
+    lifts = [psi]
+    if m.edge_mode == "open":
+        top = psi.window.size + 1
+        lifts = [
+            FockVector(m.window, {left | idx << 1 | right << top: amp for idx, amp in psi.amplitudes.items()})
+            for left in (0, 1)
+            for right in (0, 1)
+        ]
+    return all(m.Q.apply(v).is_zero() and m.Qdag.apply(v).is_zero() for v in lifts)

@@ -496,7 +496,6 @@ def test_charges_suite_takes_few_products(monkeypatch):
     # product per sequence and center (about 2,900 at n = 4); every product
     # goes through the counted function
     from nicolai import fock
-    from nicolai.model import _build_supercharge_cached
     from nicolai.verify import charges_suite
 
     calls = []
@@ -509,7 +508,6 @@ def test_charges_suite_takes_few_products(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fock, "_product_pieces", counted(pieces))
-    _build_supercharge_cached.cache_clear()  # so the model's build is counted too
     assert all(c.passed for c in charges_suite(4))
     # none for H, built in closed form; 3 for the four commutation
     # identities, 2 for annihilation

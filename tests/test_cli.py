@@ -534,6 +534,11 @@ def test_generate_usage_errors(capsys):
     assert code == 2
     code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "0001x")
     assert code == 2
+    # a fullwidth one and an Arabic-Indic one are digits to int(), not bits
+    code, doc = _run_json(capsys, "generate", "--n", "1", "--target", "\uff11\u06611")
+    assert code == 2 and doc["payload"] == {
+        "code": "usage-error", "reason": "bad target bitstring: bits must be 0 or 1"
+    }
 
 
 def test_generate_and_replay_size_guard(capsys, tmp_path):
@@ -568,6 +573,7 @@ def test_replay_detects_tampering(capsys, tmp_path):
     '{"start":"fock","k":0,"l":1,"target":"000","predicted_sign":1,"steps":[7]}',
     '{"start":"fock","k":0,"l":1,"target":"000","predicted_sign":1,'
     '"steps":[{"k":0,"l":1,"values":"x++","adjoint":false}]}',
+    '{"start":"fock","k":0,"l":1,"target":"\uff11\u06611","predicted_sign":1,"steps":[]}',
 ])
 def test_replay_malformed_word_is_usage_error(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -62,6 +62,14 @@ def test_config_string_round_trip():
     assert OccupationConfig(w, c.occ ^ (w.dimension - 1)).to_string() == "11100"
 
 
+@pytest.mark.parametrize("text", ["\uff11\u06611", "1\u06611", "00\uff10", "012", "0x1"])
+def test_config_strings_hold_only_ascii_bits(text):
+    # int() reads every Unicode decimal digit, such as the fullwidth one and
+    # the Arabic-Indic one; a bitstring takes 0 and 1 only
+    with pytest.raises(ValueError):
+        OccupationConfig.from_string(SiteWindow(0, 2), text)
+
+
 # -- ladder action ------------------------------------------------------------
 
 def test_create_on_single_empty_site():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nicolai.charges import _STEPS, ConservationSequence, _alternates
 from nicolai.fixtures import load_fixture
-from nicolai.fock import FockVector, OccupationConfig, SiteWindow
+from nicolai.fock import FockVector, OccupationConfig, SiteWindow, build_matrix
 from nicolai.ground import (
+    _apply_closed_form,
     charge_action_on_config,
     count_transfer,
     enumerate_upsilon_hat,
@@ -17,9 +18,9 @@ from nicolai.ground import (
     is_ground_config,
     is_open_edge_susy_vector,
 )
-from nicolai.model import Interval
+from nicolai.model import Interval, build_supercharge, spectrum
 from nicolai.verify import classification_suite
-from oracles import cross_oracle_suite
+from oracles import cross_oracle_suite, susy_by_matrix
 
 
 def _cfg(lo, hi, text):
@@ -156,6 +157,62 @@ def test_entangled_zero_mode_stays_close_edge():
     assert is_close_edge_susy_vector(psi, 0, 2)
 
 
+
+def test_models_share_no_arrays():
+    # a write into one model's arrays changes no later answer
+    m = build_supercharge((0, 2), "open")
+    for op in (m.H, m.Q, m.Qdag):
+        op.vals[:] = 0
+    assert spectrum(build_supercharge((0, 2), "open")).kernel_dimension == 64
+    assert not is_open_edge_susy_vector(_vec(0, 2, "01010"), 0, 2)
+
+
+_VECTOR_TEST = {"open": is_open_edge_susy_vector, "closed": is_close_edge_susy_vector}
+
+
+@pytest.mark.parametrize(
+    "mode, n", [("open", n) for n in range(1, 6)] + [("closed", n) for n in range(2, 7)]
+)
+def test_vector_tests_match_the_matrix_oracle_on_every_config(mode, n):
+    m = build_supercharge((0, n), mode)  # one model for every config
+    window = m.interval.inner
+    for occ in range(window.dimension):
+        vec = FockVector.from_config(OccupationConfig(window, occ))
+        assert _VECTOR_TEST[mode](vec, 0, n) == susy_by_matrix(m, vec), occ
+
+
+def _integer_vectors(window):
+    return st.dictionaries(
+        st.integers(0, window.dimension - 1), st.integers(-3, 3), max_size=8
+    ).map(lambda amplitudes: FockVector(window, amplitudes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vector_tests_match_the_matrix_oracle_on_superpositions(data):
+    k = data.draw(st.integers(-2, 1), label="k")
+    l = k + data.draw(st.integers(2, 3), label="l - k")
+    closed, opened = build_supercharge((k, l), "closed"), build_supercharge((k, l), "open")
+    vec = data.draw(_integer_vectors(closed.window), label="vec")
+    if data.draw(st.booleans(), label="Q vec"):
+        vec = closed.Q.apply(vec)  # its terms cancel only in the sum
+    assert is_open_edge_susy_vector(vec, k, l) == susy_by_matrix(opened, vec)
+    assert is_close_edge_susy_vector(vec, k, l) == susy_by_matrix(closed, vec)
+    wide = data.draw(_integer_vectors(opened.window), label="wide")
+    for m, v in ((closed, vec), (opened, wide), (opened, opened.Q.apply(wide))):
+        for terms in (list(m.terms), [t.adjoint() for t in m.terms]):
+            assert _apply_closed_form(terms, v) == build_matrix(terms, m.window).apply(v)
+
+
+def test_open_edge_test_answers_beyond_the_matrix_limit():
+    # the enlarged window of 43 sites holds no packed-key matrix, but the
+    # test touches only the vector's own entries
+    window = Interval(0, 20).inner
+    with pytest.raises(ValueError):
+        build_supercharge((0, 20), "open")
+    assert is_open_edge_susy_vector(FockVector(window, {0: 1}), 0, 20)
+    assert not is_open_edge_susy_vector(FockVector(window, {0b10: 1}), 0, 20)
+
 # -- config-level charge action ----------------------------------------------
 
 def test_charge_action_examples():
@@ -216,6 +273,12 @@ def test_extend_rejects_forbidden_input():
         extend_to_interval({-3: 0, -2: 1, 0: 0, 1: 1})
     with pytest.raises(ValueError):
         extend_to_interval({})
+
+
+@pytest.mark.parametrize("assignment", [{0: 0.5}, {1.9: 1}, {"3": 1}, {0: "1"}])
+def test_extend_refuses_non_integer_input(assignment):
+    with pytest.raises(TypeError):
+        extend_to_interval(assignment)
 
 
 def test_extension_agrees_with_assignment():

@@ -82,7 +82,7 @@ def _monomials_and_vectors(draw):
 @given(_monomials_and_vectors())
 def test_closed_form_on_a_vector_matches_ladder_walk(case):
     mono, vec = case
-    assert _apply_closed_form(mono, vec) == apply_monomial(mono, vec)
+    assert _apply_closed_form([mono], vec) == apply_monomial(mono, vec)
 
 
 def test_identity_monomial_action():

@@ -235,6 +235,16 @@ def test_sector_spectrum_merging():
         spectrum(m, 99)
 
 
+@pytest.mark.parametrize("sector", [2.9, 2.0, "2", None])
+def test_spectrum_refuses_a_non_integer_sector(sector):
+    # a float sector is refused, not truncated to the sector below
+    m = build_supercharge((0, 2), "open")
+    with pytest.raises(TypeError):
+        spectrum(m, sector)
+    assert spectrum(m, np.int64(2)) == spectrum(m, 2)
+    assert spectrum(m, 2).kernel_dimension == 11
+
+
 @pytest.mark.parametrize("values", [
     [-0.0, 0.0, 0.0],
     [0.0, -0.0, 0.0, -0.0, -0.0],

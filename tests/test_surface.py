@@ -93,3 +93,15 @@ def test_every_definition_is_named_outside_it():
     text = "\n".join(path.read_text() for folder in folders for path in folder.glob("*.py"))
     named = Counter(re.findall(r"\w+", text))
     assert [name for name, count in definitions.items() if named[name] <= count] == []
+
+
+def test_the_library_keeps_no_state_between_calls():
+    # no memoizing decorator in the package: every call builds what it
+    # answers from, so no caller sees arrays another caller has written
+    banned = {"lru_cache", "cache", "cached_property"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not banned & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "functools" and node.attr in banned), path.name

@@ -19,7 +19,7 @@ from nicolai.charges import (
 )
 from nicolai.cli import main
 from nicolai.fock import FermionMonomial, IntegerSparseOperator, build_matrix
-from nicolai.model import _build_supercharge_cached, build_supercharge
+from nicolai.model import build_supercharge
 from oracles import (
     adjoint_by_monomial,
     classification_by_config,
@@ -166,11 +166,7 @@ def test_h_check_catches_a_product_that_loses_a_term(monkeypatch):
             yield key, vals
 
     monkeypatch.setattr(fock, "_product_pieces", lossy)
-    _build_supercharge_cached.cache_clear()
-    try:
-        checks = [c for c in verify.algebra_suite(3) if c.name.startswith("H = ")]
-    finally:
-        _build_supercharge_cached.cache_clear()
+    checks = [c for c in verify.algebra_suite(3) if c.name.startswith("H = ")]
     assert len(checks) == 2 and not any(c.passed for c in checks)
 
 
