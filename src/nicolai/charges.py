@@ -42,23 +42,42 @@ _CHAR = {-1: "-", 1: "+"}
 _VALUE = {"-": -1, "+": 1}
 
 
-def _alternates(a: int, b: int, c: int) -> bool:
-    """The forbidden-triplet rule, for 0/1 bits and for -1/+1 values alike."""
-    return a != b != c
+def _rule_masks(size: int) -> Tuple[int, int]:
+    """The forbidden-triplet rule as two bit masks ``(edges, centres)``, the
+    one statement of it that every test of a word, sequence or config reads.
+
+    A 0/1 word of odd ``size >= 3``, letter ``p`` its bit ``p``, is
+    admissible when both edge pairs are constant and no triplet centred at
+    an even offset alternates; under ``-1 <-> 0`` these are the conservation
+    sequences, and on a window with an even low edge the open-boundary
+    ground configurations.  Bit ``p`` of ``d = w ^ (w >> 1)`` is set where
+    letters ``p`` and ``p + 1`` differ, so the edge pairs are constant when
+    ``d & edges`` is 0 (bits ``0`` and ``size - 2``), and no triplet
+    alternates when ``d & (d >> 1) & centres`` is 0 (bits ``p - 1`` for the
+    centres ``p = 2, 4, ..., 2m``, at any ``size >= 3``).  ``(4**m - 1) // 3``
+    holds ``m`` ones at the even bits ``0, 2, ..., 2m - 2``."""
+    m = (size - 2) // 2
+    return 1 | 1 << (size - 2), (4**m - 1) // 3 << 1
 
 
-# The transfer table of the forbidden-triplet rule.  A 0/1 word of odd size
-# ``>= 3`` is admissible when both two-letter edge pairs are constant and no
-# triplet centred at an even offset alternates; under ``-1 <-> 0`` these are
-# the conservation sequences, and on a window with an even low edge the
-# open-boundary ground configurations.  Bit ``p`` of a packed word is the
-# letter at offset ``p``.  Such a word is one of the two constant left pairs,
-# then pairs ``(2j, 2j + 1)`` whose triplet centred at ``2j`` reaches back to
-# the letter before them, then a last letter that repeats its neighbour.
-# ``_STEPS[a]`` lists, in lexicographic order, the pairs ``(b, c)`` that may
-# follow the odd-offset letter ``a``.
+def _admissible(words: np.ndarray, size: int) -> np.ndarray:
+    """Which packed words (an int64 array, or one int) are admissible words
+    of odd ``size >= 3``, by the masks of ``_rule_masks``; bits above
+    ``size`` are ignored."""
+    d = words ^ (words >> 1)
+    edges, centres = _rule_masks(size)
+    return ((d & edges) == 0) & ((d & (d >> 1) & centres) == 0)
+
+
+# The transfer table of the rule.  An admissible word is one of the two
+# constant left pairs, then pairs ``(2j, 2j + 1)`` whose triplet centred at
+# ``2j`` reaches back to the letter before them, then a last letter that
+# repeats its neighbour.  ``_STEPS[a]`` lists, in lexicographic order, the
+# pairs ``(b, c)`` that may follow the odd-offset letter ``a``: those that
+# make the five-letter word ``a a b c c`` admissible.
 _STEPS = tuple(
-    tuple((b, c) for b, c in product((0, 1), repeat=2) if not _alternates(a, b, c))
+    tuple((b, c) for b, c in product((0, 1), repeat=2)
+          if _admissible(a * 0b11 | b << 2 | c * 0b11000, 5))
     for a in (0, 1)
 )
 # ``_STEPS`` packed for ``_word_chunks``: row ``a`` holds each pair ``(b, c)``
@@ -128,30 +147,6 @@ def _words(size: int) -> np.ndarray:
     return words
 
 
-def _rule_masks(size: int) -> Tuple[int, int]:
-    """The forbidden-triplet rule for words of odd ``size >= 3`` (see
-    ``_STEPS``) as two bit masks ``(edges, centres)``.
-
-    Bit ``p`` of ``d = w ^ (w >> 1)`` is set where letters ``p`` and
-    ``p + 1`` of a packed word ``w`` differ, so the edge pairs are constant
-    when ``d & edges`` is 0 (bits ``0`` and ``size - 2``), and the triplet
-    centred at an even offset ``p`` alternates exactly when bits ``p - 1``
-    and ``p`` of ``d`` are both set, so none alternates when
-    ``d & (d >> 1) & centres`` is 0 (bits ``p - 1``): the rule of
-    ``_alternates``.
-    """
-    return 1 | 1 << (size - 2), sum(1 << (p - 1) for p in range(2, size - 1, 2))
-
-
-def _admissible(words: np.ndarray, size: int) -> np.ndarray:
-    """Which packed words (an int64 array, or one int) are admissible words
-    of odd ``size >= 3``, by the masks of ``_rule_masks``; bits above
-    ``size`` are ignored."""
-    d = words ^ (words >> 1)
-    edges, centres = _rule_masks(size)
-    return ((d & edges) == 0) & ((d & (d >> 1) & centres) == 0)
-
-
 def _first_word(size: int, pinned: Mapping[int, int]) -> Optional[int]:
     """The lexicographically first admissible word agreeing with ``pinned``, or None.
 
@@ -189,19 +184,21 @@ def _unpack(words: np.ndarray, size: int) -> np.ndarray:
 
 
 def _constraint_violation(values: Tuple[int, ...]) -> Optional[str]:
+    """Why ``values`` is no conservation sequence, or None, read off the
+    ``_rule_masks`` of its word (bit 1 for ``+1``); the lowest bad centre is named."""
     n = len(values)
     if n < 3 or n % 2 == 0:
         return f"need an odd number >= 3 of values, got {n}"
-    if any(v not in (-1, 1) for v in values):
+    if not {-1, 1}.issuperset(values):
         return "values must be -1 or +1"
-    if values[0] != values[1]:
-        return "left edge pair must be constant"
-    if values[-2] != values[-1]:
-        return "right edge pair must be constant"
-    # Positions 2i (even sites) with both neighbors inside the interval.
-    for p in range(2, n - 1, 2):
-        if _alternates(*values[p - 1 : p + 2]):
-            return f"forbidden alternating triplet at offset {p}"
+    word = int("".join(["01"[v == 1] for v in reversed(values)]), 2)
+    d = word ^ (word >> 1)
+    edges, centres = _rule_masks(n)
+    if d & edges:
+        return f"{'left' if d & 1 else 'right'} edge pair must be constant"
+    bad = d & (d >> 1) & centres  # bit p - 1 for a triplet centred at p
+    if bad:
+        return f"forbidden alternating triplet at offset {(bad & -bad).bit_length()}"
     return None
 
 

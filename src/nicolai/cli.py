@@ -182,6 +182,15 @@ def _guard_dimension(size: int, max_dim: int):
         )
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits as an int; ``int`` alone would also
+    read underscores, surrounding spaces and non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _word_size(n: int) -> int:
     """The size ``2n + 1`` of the packed admissible words on ``[0..2n]`` (the
     ground configurations, and the conservation sequences with bit 1 for
@@ -290,7 +299,7 @@ def _cmd_spectrum(args) -> tuple:
     if args.edge == "closed" and args.n < 2:
         raise _CommandFailure(_EXIT_USAGE, "closed edge mode requires n >= 2")
     _guard_dimension(window.size, args.max_dim)
-    sector = "all" if args.sector == "all" else int(args.sector)
+    sector = "all" if args.sector == "all" else _integer(args.sector)
     if sector != "all" and not 0 <= sector <= window.size:
         raise _CommandFailure(_EXIT_USAGE, f"sector must lie in [0, {window.size}]")
     report = spectrum(build_supercharge(interval, args.edge), sector)
@@ -307,10 +316,7 @@ def _cmd_generate(args) -> tuple:
         target = OccupationConfig.from_string(window, args.target)
     except ValueError as exc:
         raise _CommandFailure(_EXIT_USAGE, f"bad target bitstring: {exc}")
-    try:
-        word = generate_word(target, args.start, 0, n)
-    except ValueError as exc:
-        raise _CommandFailure(_EXIT_USAGE, str(exc))
+    word = generate_word(target, args.start, 0, n)
     replayed = replay_word_matrix(word)
     confirmed = replayed == FockVector.from_config(target, word.predicted_sign)
     if not confirmed:
@@ -355,31 +361,32 @@ def _cmd_replay(args) -> tuple:
     return payload, [tuple(payload), tuple(payload.values())]
 
 
-# The command line as data.  An option maps to its reader (``int``, ``str`` or a
-# tuple of choices) and its default, or ``_REQUIRED``; a command maps to its
+# The command line as data.  An option maps to its reader (``_integer``, ``str``
+# or a tuple of choices) and its default, or ``_REQUIRED``; a command maps to its
 # handler, its help line, its ``(name, choices)`` positional or None, and its
 # options.
 _REQUIRED = object()
 
 _GLOBAL_OPTIONS = {
     "--format": (("json", "csv"), "json"),
-    "--seed": (int, 0),
-    "--max-dim": (int, 1 << 19),
+    "--seed": (_integer, 0),
+    "--max-dim": (_integer, 1 << 19),
     "--output": (str, None),
 }
 
 _COMMANDS = {
     "enumerate": (_cmd_enumerate, "list ground configs or conservation sequences",
-                  ("kind", ("ground-configs", "charges")), {"--n": (int, _REQUIRED)}),
+                  ("kind", ("ground-configs", "charges")), {"--n": (_integer, _REQUIRED)}),
     "count": (_cmd_count, "count open-boundary ground configurations", None,
-              {"--n": (int, _REQUIRED), "--method": (("transfer", "enumerate", "both"), "both")}),
+              {"--n": (_integer, _REQUIRED),
+               "--method": (("transfer", "enumerate", "both"), "both")}),
     "verify": (_cmd_verify, "run an exact verification suite", ("suite", SUITES),
-               {"--n": (int, None)}),
+               {"--n": (_integer, None)}),
     "spectrum": (_cmd_spectrum, "eigenvalues and exact kernel dimension", None,
-                 {"--n": (int, _REQUIRED), "--edge": (("open", "closed"), "open"),
+                 {"--n": (_integer, _REQUIRED), "--edge": (("open", "closed"), "open"),
                   "--sector": (str, "all")}),
     "generate": (_cmd_generate, "find a charge word reaching a ground config", None,
-                 {"--n": (int, _REQUIRED), "--target": (str, _REQUIRED),
+                 {"--n": (_integer, _REQUIRED), "--target": (str, _REQUIRED),
                   "--start": (("fock", "occupied"), "fock")}),
     "replay": (_cmd_replay, "replay a serialized generation word", None,
                {"--word": (str, _REQUIRED)}),
@@ -426,8 +433,8 @@ def _parse(argv: List[str]) -> SimpleNamespace:
         if not isinstance(reader, tuple):
             try:
                 return reader(value)
-            except ValueError:
-                raise reject(f"argument {label}: invalid {reader.__name__} value: {value!r}")
+            except ValueError:  # only ``_integer`` refuses a value
+                raise reject(f"argument {label}: invalid int value: {value!r}")
         if value not in reader:
             raise reject(f"argument {label}: invalid choice: {value!r}")
         return value

@@ -54,7 +54,7 @@ __all__ = [
 # int64 arithmetic is exact below this bound; an operation that cannot certify
 # it raises OverflowError.
 _INT64_SAFE = 1 << 62
-# The packed key ``col * dim + row`` must fit in int64.
+# The packed key ``col * dim + row`` must fit in int64 (else OverflowError).
 _MAX_SIZE = 31
 # Entries sorted at once by a sum, and products expanded at once by a product.
 _CHUNK = 1 << 18
@@ -266,7 +266,7 @@ class IntegerSparseOperator:
         ``_INT64_SAFE`` in magnitude.
         """
         if window.size > _MAX_SIZE:
-            raise ValueError(f"window of {window.size} sites is too large for packed keys")
+            raise OverflowError(f"window of {window.size} sites is too large for packed keys")
         key, vals = _int64(key), _int64(vals)
         if (key >> (2 * window.size)).any():
             raise ValueError("operator position outside the window")
@@ -547,7 +547,7 @@ def _closed_form_entries(monomials, window: SiteWindow):
     """
     size = window.size
     if size > _MAX_SIZE:
-        raise ValueError(f"window of {size} sites is too large for packed keys")
+        raise OverflowError(f"window of {size} sites is too large for packed keys")
     if any(abs(m.coefficient) >= _INT64_SAFE for m in monomials):
         raise OverflowError("operator coefficients exceed the certified int64 range")
     frees: dict = {}

@@ -31,7 +31,6 @@ from .charges import (
     _STEPS,
     ConservationSequence,
     _admissible,
-    _alternates,
     _first_word,
     _rule_masks,
     _words,
@@ -74,13 +73,15 @@ class GenerationError(RuntimeError):
 
 
 def is_ground_config(g: OccupationConfig) -> bool:
-    """True when no even-centered triplet inside the window reads 010 or 101."""
-    w = g.window
-    return not any(
-        _alternates(g.bit(center - 1), g.bit(center), g.bit(center + 1))
-        for center in range(w.lo + 1, w.hi)
-        if center % 2 == 0
-    )
+    """True when no even-centered triplet inside the window reads 010 or 101,
+    by the centre mask of ``_rule_masks``; with an odd low edge the word is
+    shifted up one letter, so that its centres, too, sit at even offsets."""
+    if g.window.size < 3:  # no triplet
+        return True
+    odd = g.window.lo & 1
+    word = g.occ << odd
+    d = word ^ (word >> 1)
+    return not d & (d >> 1) & _rule_masks(g.window.size + odd)[1]
 
 
 def enumerate_upsilon_hat(k: int, l: int) -> List[OccupationConfig]:
@@ -477,18 +478,15 @@ def extend_to_interval(assignment: Mapping[int, int]):
     even-edged intervals covering the support from the smallest size upward
     (ties toward smaller left edge) and returns ``(k, l, config)`` for the
     first open-boundary ground configuration agreeing with the assignment.
-    Raises ``ValueError`` when there is none, as for ``{-3: 0, -2: 1, 0: 0,
-    1: 1}``, where the triplets centered at -2 and 0 force site -1 both ways.
+    Raises ``ValueError`` when there is none, as for a forbidden triplet or
+    for ``{-3: 0, -2: 1, 0: 0, 1: 1}``, where the triplets centered at -2 and
+    0 force site -1 both ways.
     """
     if not assignment:
         raise ValueError("empty assignment")
     fixed = {operator.index(s): operator.index(b) for s, b in assignment.items()}
     if any(b not in (0, 1) for b in fixed.values()):
         raise ValueError("bits must be 0 or 1")
-    for center in sorted(fixed):
-        if center % 2 == 0 and center - 1 in fixed and center + 1 in fixed:
-            if _alternates(fixed[center - 1], fixed[center], fixed[center + 1]):
-                raise ValueError(f"forbidden triplet centered at site {center}")
     lo, hi = min(fixed), max(fixed)
     smallest = max(1, -(-hi // 2) - lo // 2)  # smallest l - k covering [lo..hi]
     # Any completion, cut back to one free site beyond the support on each

@@ -137,9 +137,6 @@ class SpectrumReport:
             "kernel_dimension": self.kernel_dimension,
         }
 
-    def to_csv_rows(self) -> List[Tuple[int, float]]:
-        return list(enumerate(self.eigenvalues.tolist()))
-
     def eigenvalues_json(self) -> str:
         """The compact JSON array of the eigenvalues, as ``json.dumps`` writes
         it, formatting each distinct value once."""
@@ -147,8 +144,8 @@ class SpectrumReport:
         return "[" + "".join((t + ",") * k for t, k in zip(texts, lengths))[:-1] + "]"
 
     def csv_text(self) -> str:
-        """The ``index,eigenvalue`` table of ``to_csv_rows`` as CSV text,
-        header first, formatting each distinct value once."""
+        """The eigenvalues as CSV text: an ``index,eigenvalue`` header, then
+        one row per eigenvalue in order, formatting each distinct value once."""
         parts, start = ["index,eigenvalue\n"], 0
         for text, k in zip(*_float_runs(self.eigenvalues)):
             sep = f",{text}\n"  # each row of a run ends in its value

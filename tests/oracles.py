@@ -6,7 +6,7 @@ library from outside.
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -353,3 +353,50 @@ def susy_by_matrix(m: ModelOperators, psi: FockVector) -> bool:
             for right in (0, 1)
         ]
     return all(m.Q.apply(v).is_zero() and m.Qdag.apply(v).is_zero() for v in lifts)
+
+
+# -- the forbidden-triplet rule, one triplet at a time --------------------------
+
+
+def alternates(a: int, b: int, c: int) -> bool:
+    """Whether a triplet alternates, for 0/1 bits and for -1/+1 values alike."""
+    return a != b != c
+
+
+def constraint_violation_by_loop(values: Tuple[int, ...]) -> Optional[str]:
+    """Why ``values`` is no conservation sequence, or None, as
+    ``charges._constraint_violation`` said it from a scan of the triplets."""
+    n = len(values)
+    if n < 3 or n % 2 == 0:
+        return f"need an odd number >= 3 of values, got {n}"
+    if any(v not in (-1, 1) for v in values):
+        return "values must be -1 or +1"
+    if values[0] != values[1]:
+        return "left edge pair must be constant"
+    if values[-2] != values[-1]:
+        return "right edge pair must be constant"
+    for p in range(2, n - 1, 2):
+        if alternates(*values[p - 1 : p + 2]):
+            return f"forbidden alternating triplet at offset {p}"
+    return None
+
+
+def is_ground_config_by_loop(g: OccupationConfig) -> bool:
+    """``ground.is_ground_config`` as a scan of the even centres inside the window."""
+    w = g.window
+    return not any(
+        alternates(g.bit(center - 1), g.bit(center), g.bit(center + 1))
+        for center in range(w.lo + 1, w.hi)
+        if center % 2 == 0
+    )
+
+
+def forbidden_centre_by_loop(fixed: Mapping[int, int]) -> Optional[int]:
+    """The lowest even site whose triplet the partial assignment ``fixed``
+    pins to an alternating pattern, or None: the pre-check that
+    ``ground.extend_to_interval`` once ran."""
+    for center in sorted(fixed):
+        if center % 2 == 0 and center - 1 in fixed and center + 1 in fixed:
+            if alternates(fixed[center - 1], fixed[center], fixed[center + 1]):
+                return center
+    return None

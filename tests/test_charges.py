@@ -12,7 +12,7 @@ from nicolai import charges
 from nicolai.charges import (
     ConservationSequence,
     _admissible,
-    _alternates,
+    _constraint_violation,
     _first_word,
     _word_chunks,
     _words,
@@ -35,7 +35,12 @@ from nicolai.fock import (
 )
 from nicolai.ground import count_transfer, enumerate_upsilon_hat
 from nicolai.model import build_supercharge, supercharge_term
-from oracles import particle_hole_unitary, words_in_one_array
+from oracles import (
+    alternates,
+    constraint_violation_by_loop,
+    particle_hole_unitary,
+    words_in_one_array,
+)
 
 
 def _seq(k, l, text):
@@ -79,6 +84,64 @@ def test_validation_rules():
 def test_inexact_inputs_raise_instead_of_truncating(build):
     with pytest.raises(TypeError):
         build()
+
+
+def _check_against_the_loop(values):
+    # the mask check and the triplet scan agree on the verdict, the message
+    # and, for a word of letters, on the bitwise test
+    expected = constraint_violation_by_loop(values)
+    assert _constraint_violation(values) == expected
+    n = len(values)
+    if n < 3 or n % 2 == 0 or any(v not in (-1, 1) for v in values):
+        return
+    word = sum(1 << p for p, v in enumerate(values) if v == 1)
+    assert bool(_admissible(word, n)) == (expected is None)
+    if expected is None:
+        assert ConservationSequence(0, n // 2, values).values == values
+    else:
+        with pytest.raises(ValueError) as raised:
+            ConservationSequence(0, n // 2, values)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("size", range(3, 14, 2))
+def test_sequence_check_matches_the_triplet_scan_on_every_word(size):
+    for values in product((-1, 1), repeat=size):
+        _check_against_the_loop(values)
+
+
+@pytest.mark.parametrize("values", [
+    (), (1,), (1, 1), (1, 1, 1, 1), (-1,) * 6, (0, 0, 0), (1, 2, 1), (1, 1, -1, 1, 1, 0, 0),
+    (1, -1, 1, -1, 1),  # both edges and the triplet: the left edge is named
+    (1, 1, -1, 1, -1),  # the triplet at 2 and the right edge: the edge is named
+    (1, 1, -1, 1, 1, -1, 1, 1, 1),  # triplets at 2 and 6: the lowest is named
+])
+def test_sequence_check_matches_the_triplet_scan_on_malformed_values(values):
+    _check_against_the_loop(values)
+
+
+@st.composite
+def _runs(draw):
+    # runs of at least two letters of one sign hold no alternating triplet;
+    # a few flipped letters then make runs of one, which break the rule
+    # where they sit at an even offset or at an edge, so long words pass or
+    # fail anywhere along their length
+    size = draw(st.integers(30, 100)) * 2 + 1
+    sign = draw(st.sampled_from((-1, 1)))
+    values = []
+    while len(values) < size:
+        values += [sign] * draw(st.integers(2, 6))
+        sign = -sign
+    values = values[:size]
+    for p in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        values[p] = -values[p]
+    return tuple(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+def test_sequence_check_matches_the_triplet_scan_on_long_words(values):
+    _check_against_the_loop(values)
 
 
 def test_smallest_space_is_the_two_constants():
@@ -189,7 +252,7 @@ def _walk_oracle(size, pinned=None):
             elif j == depth:
                 allowed = letters[0] == a
             else:
-                allowed = not _alternates(a, *letters)
+                allowed = not alternates(a, *letters)
             bits = sum(b << p for b, p in zip(letters, group))
             if (
                 allowed

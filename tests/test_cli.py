@@ -317,7 +317,7 @@ _SPECTRUM_CASES = (
 @pytest.mark.parametrize("n, edge, sector", _SPECTRUM_CASES)
 def test_spectrum_text_matches_the_report_documents(capsys, n, edge, sector):
     # the spliced per-run text against json.dumps of report.to_json() and the
-    # join of report.to_csv_rows()
+    # join of the report's eigenvalue rows
     report = spectrum(build_supercharge((0, n), edge), sector if sector == "all" else int(sector))
     argv = ["spectrum", "--n", str(n), "--edge", edge, "--sector", sector]
     code, out = _run(capsys, *argv)
@@ -331,7 +331,7 @@ def test_spectrum_text_matches_the_report_documents(capsys, n, edge, sector):
     }
     assert out == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
     code, out = _run(capsys, "--format", "csv", *argv)
-    rows = [("index", "eigenvalue")] + report.to_csv_rows()
+    rows = [("index", "eigenvalue")] + list(enumerate(report.eigenvalues.tolist()))
     assert code == 0
     assert out == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
@@ -340,7 +340,6 @@ def test_json_spectrum_makes_no_csv_rows(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("CSV rows made for a JSON document")
 
-    monkeypatch.setattr(SpectrumReport, "to_csv_rows", refuse)
     monkeypatch.setattr(SpectrumReport, "csv_text", refuse)
     code, doc = _run_json(capsys, "spectrum", "--n", "3", "--edge", "open")
     assert code == 0 and len(doc["payload"]["eigenvalues"]) == 1 << 9
@@ -350,6 +349,10 @@ def test_json_spectrum_makes_no_csv_rows(capsys, monkeypatch):
     ("99", "sector must lie in [0, 13]"),
     ("-1", "sector must lie in [0, 13]"),
     ("x", "invalid literal for int() with base 10: 'x'"),
+    # only a sign and ASCII digits: int() alone reads these as 3 and 10
+    ("\u0663", "invalid literal for int() with base 10: '\u0663'"),
+    (" 3", "invalid literal for int() with base 10: ' 3'"),
+    ("1_0", "invalid literal for int() with base 10: '1_0'"),
 ])
 def test_spectrum_checks_its_sector_before_building(capsys, monkeypatch, sector, reason):
     def refuse(*args, **kwargs):
@@ -703,6 +706,29 @@ def test_generate_beyond_the_search_key_is_resource_limit(capsys):
         '"payload":{"code":"resource-limit",'
         '"reason":"a search key of two 33-site states does not fit in int64"},'
         '"status":"failure"}\n'
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max-dim", "1099511627776", "spectrum", "--n", "15"),
+    ("--max-dim", "1099511627776", "spectrum", "--edge", "closed", "--n", "16"),
+])
+def test_spectrum_beyond_the_packed_key_is_resource_limit(capsys, argv):
+    # from 32 sites a packed key col * dim + row no longer fits in one int64;
+    # the window is refused before any operator is allocated
+    tracemalloc.start()
+    try:
+        code, out = _run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    edge = "closed" if "closed" in argv else "open"
+    assert re.sub(r'"elapsed_ms":[^,}]+,', "", out) == (
+        '{"command":"spectrum","params":{"command":"spectrum","edge":"%s","n":%s,'
+        '"sector":"all","seed":0},"payload":{"code":"resource-limit",'
+        '"reason":"window of 33 sites is too large for packed keys"},'
+        '"status":"failure"}\n' % (edge, argv[-1])
     )
 
 
@@ -1066,6 +1092,39 @@ def test_command_line_params_pinned(capsys, monkeypatch, tmp_path, argv, code, p
     out = capsys.readouterr().out
     doc = json.loads(out_path.read_text() if any("OUT" in a for a in argv) else out)
     assert doc["params"] == {k: fill(v) for k, v in params.items()}
+
+
+@pytest.mark.parametrize("argv, label, value", [
+    # int() alone reads each of these values as a number
+    (["count", "--n", "1_0"], "nicolai count: argument --n", "1_0"),
+    (["count", "--n", " 3"], "nicolai count: argument --n", " 3"),
+    (["count", "--n", "3\n"], "nicolai count: argument --n", "3\n"),
+    (["count", "--n", "\u0663"], "nicolai count: argument --n", "\u0663"),
+    (["count", "--n=+\uff13"], "nicolai count: argument --n", "+\uff13"),
+    (["--max-dim", "1_0_0", "count", "--n", "2"], "nicolai: argument --max-dim", "1_0_0"),
+    (["--seed", "\u0667", "verify", "algebra", "--n", "2"], "nicolai: argument --seed", "\u0667"),
+    # int() refuses these too
+    (["verify", "algebra", "--n", "2_"], "nicolai verify: argument --n", "2_"),
+    (["count", "--n", "-"], "nicolai count: argument --n", "-"),
+    (["count", "--n", ""], "nicolai count: argument --n", ""),
+    (["count", "--n", "+-3"], "nicolai count: argument --n", "+-3"),
+])
+def test_integer_options_take_a_sign_and_ascii_digits_only(capsys, argv, label, value):
+    code, doc = _run_json(capsys, *argv)
+    assert code == 2
+    del doc["elapsed_ms"]
+    assert doc == {
+        "command": None,
+        "params": {"argv": argv},
+        "payload": {"code": "usage-error", "reason": f"{label}: invalid int value: {value!r}"},
+        "status": "failure",
+    }
+
+
+@pytest.mark.parametrize("value, n", [("+3", 3), ("003", 3), ("-0", 0)])
+def test_integer_options_read_signed_ascii_digits(capsys, value, n):
+    code, doc = _run_json(capsys, "count", "--n", value, "--method", "transfer")
+    assert doc["params"]["n"] == n and code == (0 if n else 2)
 
 
 def test_commands_import_no_argument_parser():

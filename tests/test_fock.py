@@ -519,10 +519,13 @@ def test_uncertified_product_raises_though_entries_fit():
 
 
 def test_packed_keys_refuse_oversized_windows():
-    # col * dim + row must fit int64: at most 31 sites
+    # col * dim + row must fit int64: at most 31 sites; a wider window is a
+    # size limit, refused before anything is allocated
     assert IntegerSparseOperator.zero(SiteWindow(0, 30)).is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError, match="window of 32 sites is too large for packed keys"):
         IntegerSparseOperator.zero(SiteWindow(0, 31))
+    with pytest.raises(OverflowError, match="window of 32 sites is too large for packed keys"):
+        build_matrix(FermionMonomial.increasing([(0, True)]), SiteWindow(0, 31))
 
 
 # -- batched products ------------------------------------------------------------

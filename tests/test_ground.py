@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicolai.charges import _STEPS, ConservationSequence, _alternates
+from nicolai.charges import _STEPS, ConservationSequence
 from nicolai.fixtures import load_fixture
 from nicolai.fock import FockVector, OccupationConfig, SiteWindow, build_matrix
 from nicolai.ground import (
@@ -20,7 +20,13 @@ from nicolai.ground import (
 )
 from nicolai.model import Interval, build_supercharge, spectrum
 from nicolai.verify import classification_suite
-from oracles import cross_oracle_suite, susy_by_matrix
+from oracles import (
+    alternates,
+    cross_oracle_suite,
+    forbidden_centre_by_loop,
+    is_ground_config_by_loop,
+    susy_by_matrix,
+)
 
 
 def _cfg(lo, hi, text):
@@ -55,6 +61,33 @@ def test_ground_config_on_shifted_window():
     # centers are absolute even sites, not window-relative positions
     assert not is_ground_config(_cfg(1, 3, "010"))  # 010 centered at site 2
     assert is_ground_config(_cfg(1, 5, "01100"))
+
+
+@pytest.mark.parametrize("lo", [-3, -2, 0, 1])
+@pytest.mark.parametrize("size", range(1, 13))
+def test_ground_config_mask_matches_the_triplet_scan(lo, size):
+    # every config of the window, its low edge even or odd
+    window = SiteWindow(lo, lo + size - 1)
+    for occ in range(window.dimension):
+        g = OccupationConfig(window, occ)
+        assert is_ground_config(g) == is_ground_config_by_loop(g), (lo, g.to_string())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(60, 201), st.data())
+def test_ground_config_mask_matches_the_triplet_scan_on_wide_windows(lo, size, data):
+    # a word of runs of equal bits, a few of them flipped, so a triplet
+    # alternates in some words and in none of others
+    occ, bit, p = 0, data.draw(st.integers(0, 1)), 0
+    while p < size:
+        run = data.draw(st.integers(2, 6))
+        occ |= bit * ((1 << run) - 1) << p
+        bit, p = 1 - bit, p + run
+    occ &= (1 << size) - 1
+    for q in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        occ ^= 1 << q
+    g = OccupationConfig(SiteWindow(lo, lo + size - 1), occ)
+    assert is_ground_config(g) == is_ground_config_by_loop(g)
 
 
 # -- enumeration and counting -------------------------------------------------
@@ -98,7 +131,7 @@ def test_transfer_table_is_the_forbidden_triplet_rule():
     # does not alternate, in lexicographic order
     assert _STEPS == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (1, 1)))
     for a, b, c in itertools.product((0, 1), repeat=3):
-        assert ((b, c) in _STEPS[a]) == (not _alternates(a, b, c))
+        assert ((b, c) in _STEPS[a]) == (not alternates(a, b, c))
 
 
 def test_counting_methods_agree():
@@ -208,7 +241,7 @@ def test_open_edge_test_answers_beyond_the_matrix_limit():
     # the enlarged window of 43 sites holds no packed-key matrix, but the
     # test touches only the vector's own entries
     window = Interval(0, 20).inner
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError, match="43 sites is too large for packed keys"):
         build_supercharge((0, 20), "open")
     assert is_open_edge_susy_vector(FockVector(window, {0: 1}), 0, 20)
     assert not is_open_edge_susy_vector(FockVector(window, {0b10: 1}), 0, 20)
@@ -266,8 +299,24 @@ def test_extend_needs_larger_interval():
     assert is_ground_config(ext)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-5, 5).map(lambda c: 2 * c),
+    st.sampled_from(((0, 1, 0), (1, 0, 1))),
+    st.dictionaries(st.integers(-12, 12), st.integers(0, 1)),
+)
+def test_extend_refuses_every_forbidden_triplet(centre, triplet, others):
+    # an assignment that pins an alternating triplet on an even centre has no
+    # extension: every covering window holds the triplet whole
+    assignment = {**others, centre - 1: triplet[0], centre: triplet[1], centre + 1: triplet[2]}
+    assert forbidden_centre_by_loop(assignment) is not None
+    with pytest.raises(ValueError, match="no open-boundary ground extension"):
+        extend_to_interval(assignment)
+
+
 def test_extend_rejects_forbidden_input():
-    with pytest.raises(ValueError):
+    # no covering window extends a forbidden triplet, so the search refuses it
+    with pytest.raises(ValueError, match="^the assignment has no open-boundary ground extension$"):
         extend_to_interval({1: 0, 2: 1, 3: 0})
     with pytest.raises(ValueError):  # site -1 would have to be 1 and 0
         extend_to_interval({-3: 0, -2: 1, 0: 0, 1: 1})
@@ -315,16 +364,10 @@ def _extension_by_brute_force(assignment):
     return None
 
 
-def _triplet_free(assignment):
-    return not any(
-        assignment[c - 1] == assignment[c + 1] != assignment[c]
-        for c in assignment
-        if c % 2 == 0 and c - 1 in assignment and c + 1 in assignment
-    )
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.integers(-4, 4), st.integers(0, 1), min_size=1).filter(_triplet_free))
+@given(st.dictionaries(st.integers(-4, 4), st.integers(0, 1), min_size=1).filter(
+    lambda assignment: forbidden_centre_by_loop(assignment) is None
+))
 def test_extension_matches_brute_force(assignment):
     expected = _extension_by_brute_force(assignment)
     if expected is None:

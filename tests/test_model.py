@@ -259,7 +259,7 @@ def test_eigenvalue_text_is_json_dumps_and_str(values):
     text = rep.eigenvalues_json()
     assert text == json.dumps(values, separators=(",", ":"))
     assert text[1:-1] == ",".join(map(str, values))
-    rows = [("index", "eigenvalue")] + rep.to_csv_rows()
+    rows = [("index", "eigenvalue")] + list(enumerate(rep.eigenvalues.tolist()))
     assert rep.csv_text() == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 

@@ -105,3 +105,18 @@ def test_the_library_keeps_no_state_between_calls():
                 assert not banned & {alias.name for alias in node.names}, path.name
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert not (node.value.id == "functools" and node.attr in banned), path.name
+
+
+def test_the_forbidden_triplet_rule_is_stated_once():
+    # ``charges._rule_masks`` is the rule: no module tests a triplet with the
+    # chained ``a != b != c`` of a scan, or defines a per-triplet predicate
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and len(node.ops) > 1:
+                assert not any(isinstance(op, ast.NotEq) for op in node.ops), (
+                    f"{path.name}:{node.lineno}"
+                )
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_alternates", path.name
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id != "_alternates", path.name
