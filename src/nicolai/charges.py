@@ -109,7 +109,7 @@ def _word_chunks(size: int) -> Iterator[np.ndarray]:
     before any chunk is made.
     """
     if size > 62:
-        raise ValueError(f"words of {size} letters do not fit in int64")
+        raise OverflowError(f"words of {size} letters do not fit in int64")
 
     def extend(words: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
         grown = np.take(table, (words >> (p - 1)) & 1, axis=0)

@@ -47,15 +47,6 @@ _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 
-_ENUMERATE_CAP = 12  # direct enumeration bound for enumerate and count
-# Matrix suite bound for verify: the slowest suite (charges) takes 0.06-0.07 s
-# in process at n = 6 and 0.41-0.45 s at n = 7 (2-vCPU host), about 6.5x per step.
-_VERIFY_CAP = 6
-# Transfer count bound: 2 * 3**(n-1) must print, and Python refuses to turn an
-# int of more than 4300 digits into text (n = 9000 gives 4294 digits).
-_TRANSFER_CAP = 9000
-
-
 _REASON_CODES = {
     _EXIT_FAILURE: "verification-failure",
     _EXIT_USAGE: "usage-error",
@@ -171,17 +162,6 @@ def _emit_failure(
     return code
 
 
-def _guard_dimension(size: int, max_dim: int):
-    """Refuse a window whose dimension ``2**size`` exceeds ``max_dim``, without
-    building ``2**size``: it does exactly when ``size`` reaches the bit length
-    of ``max_dim`` (every size, for ``max_dim < 1``)."""
-    if size >= max(max_dim, 0).bit_length():
-        raise _CommandFailure(
-            _EXIT_RESOURCE,
-            f"window of {size} sites has dimension 2^{size} > --max-dim {max_dim}",
-        )
-
-
 def _integer(text: str) -> int:
     """An optional sign and ASCII digits as an int; ``int`` alone would also
     read underscores, surrounding spaces and non-ASCII digits."""
@@ -194,9 +174,7 @@ def _integer(text: str) -> int:
 def _word_size(n: int) -> int:
     """The size ``2n + 1`` of the packed admissible words on ``[0..2n]`` (the
     ground configurations, and the conservation sequences with bit 1 for
-    ``+1``), for an ``n`` that ``enumerate`` and ``count`` accept."""
-    if n > _ENUMERATE_CAP:
-        raise _CommandFailure(_EXIT_RESOURCE, f"enumeration capped at n <= {_ENUMERATE_CAP}")
+    ``+1``), for an ``n`` of at least 1."""
     if n < 1:
         raise ValueError("k < l required")
     return 2 * n + 1
@@ -239,6 +217,7 @@ def _cmd_enumerate(args) -> tuple:
     its 0/1 string, a sequence as ``{"k":0,"l":n,"values":...}`` with ``-``/``+``
     letters, exactly as ``json.dumps`` with sorted keys writes them."""
     n, size = args.n, _word_size(args.n)
+    _check(args, "ground configurations")
     words = _words(size)
     if args.kind == "ground-configs":
         letters, header, csv_head, head, tail = "01", "config", "", '"', '"'
@@ -253,13 +232,11 @@ def _cmd_enumerate(args) -> tuple:
 
 
 def _cmd_count(args) -> tuple:
-    n = args.n
-    methods = {}
-    if args.method in ("transfer", "both"):
-        if n > _TRANSFER_CAP:
-            raise _CommandFailure(_EXIT_RESOURCE, f"transfer count capped at n <= {_TRANSFER_CAP}")
-        methods["transfer"] = count_transfer(n)
-    if args.method in ("enumerate", "both"):
+    n, rows = args.n, {"transfer": "printed digits", "enumerate": "ground configurations"}
+    used = [method for method in rows if args.method in (method, "both")]
+    _check(args, *(rows[method] for method in used))
+    methods = {"transfer": count_transfer(n)} if "transfer" in used else {}
+    if "enumerate" in used:
         methods["enumerate"] = sum(chunk.size for chunk in _word_chunks(_word_size(n)))
     counts = set(methods.values())
     if len(counts) != 1:
@@ -276,9 +253,7 @@ def _cmd_verify(args) -> tuple:
     if args.suite in ("algebra", "charges", "classification") and args.n is not None:
         if args.n < 1:
             raise _CommandFailure(_EXIT_USAGE, "matrix suites need n >= 1")
-        _guard_dimension(Interval(0, args.n).enlarged.size, args.max_dim)
-        if args.n > _VERIFY_CAP:
-            raise _CommandFailure(_EXIT_RESOURCE, f"matrix suites capped at n <= {_VERIFY_CAP}")
+        _check(args, "states", "matrix suite")
     checks = run_suite(args.suite, args.n, seed=args.seed)
     payload = {
         "suite": args.suite,
@@ -298,7 +273,7 @@ def _cmd_spectrum(args) -> tuple:
     window = interval.enlarged if args.edge == "open" else interval.inner
     if args.edge == "closed" and args.n < 2:
         raise _CommandFailure(_EXIT_USAGE, "closed edge mode requires n >= 2")
-    _guard_dimension(window.size, args.max_dim)
+    _check(args, "states")
     sector = "all" if args.sector == "all" else _integer(args.sector)
     if sector != "all" and not 0 <= sector <= window.size:
         raise _CommandFailure(_EXIT_USAGE, f"sector must lie in [0, {window.size}]")
@@ -311,7 +286,7 @@ def _cmd_spectrum(args) -> tuple:
 def _cmd_generate(args) -> tuple:
     n = args.n
     window = Interval(0, n).inner
-    _guard_dimension(window.size, args.max_dim)
+    _check(args, "ground configurations")
     try:
         target = OccupationConfig.from_string(window, args.target)
     except ValueError as exc:
@@ -343,7 +318,6 @@ def _cmd_replay(args) -> tuple:
     if isinstance(doc, dict) and "payload" in doc and "steps" not in doc:
         doc = doc["payload"]
     word = GenerationWord.from_json(doc)
-    _guard_dimension(word.target.window.size, args.max_dim)
     replayed = replay_word_matrix(word)
     expected = FockVector.from_config(word.target, word.predicted_sign)
     if replayed != expected:
@@ -391,6 +365,32 @@ _COMMANDS = {
     "replay": (_cmd_replay, "replay a serialized generation word", None,
                {"--word": (str, _REQUIRED)}),
 }
+
+# Every size limit, one row per set a command holds: its size from the args as
+# ``(c, b, e)`` for ``c * b**e`` (``c >= 1``, ``b >= 2``), its limit and a refusal's
+# text.  The matrix suite caps time: charges takes 0.45 s in process at n = 7.
+_LIMITS = {
+    "states": (lambda a: (1, 2, 2 * a.n + (1 if getattr(a, "edge", "") == "closed" else 3)),
+               lambda a: a.max_dim, lambda a, e, top: f"2^{e} > --max-dim {top}"),
+    "ground configurations": (lambda a: (2, 3, a.n - 1), lambda a: a.max_dim,
+                              lambda a, e, top: f"2*3^{e} > --max-dim {top}"),
+    "printed digits": (lambda a: (2, 3, a.n - 1),
+                       lambda a: 10 ** (sys.get_int_max_str_digits() or 4300) - 1,
+                       lambda a, e, top: f"2*3^{e} has more than {len(str(top))} digits"),
+    "matrix suite": (lambda a: (a.n, 2, 0), lambda a: 6, lambda a, e, top: f"n = {a.n} > 6"),
+}
+
+
+def _check(args, *rows: str) -> None:
+    """Refuse, with exit 3 and a reason naming the row, a command whose set in
+    a row of ``_LIMITS`` exceeds its limit.  A size is built only for an ``e``
+    below the limit's bit length, past which it is at least ``2**e > limit``.
+    A negative ``e`` (from an ``n`` below 1, a usage error next) passes."""
+    for row in rows:
+        size, limit, text = _LIMITS[row]
+        (c, b, e), top = size(args), limit(args)
+        if e >= max(top, 0).bit_length() or (e >= 0 and c * b**e > top):
+            raise _CommandFailure(_EXIT_RESOURCE, f"{row}: {text(args, e, top)}")
 
 
 def _dest(name: str) -> str:

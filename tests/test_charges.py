@@ -336,7 +336,7 @@ def test_first_word_without_completion():
 
 @pytest.mark.parametrize("size", [63, 65, 101])
 def test_bulk_words_refuse_int64_overflow(size):
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(OverflowError, match="int64"):
         _words(size)
 
 

@@ -5,13 +5,16 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,7 +67,9 @@ def test_enumerate_csv(capsys):
 def test_enumerate_size_guard(capsys):
     code, doc = _run_json(capsys, "enumerate", "charges", "--n", "13")
     assert code == 3 and doc["status"] == "failure"
-    assert doc["payload"] == {"code": "resource-limit", "reason": "enumeration capped at n <= 12"}
+    assert doc["payload"] == {
+        "code": "resource-limit", "reason": "ground configurations: 2*3^12 > --max-dim 524288"
+    }
 
 
 # sha256 of whole documents with "elapsed_ms" removed (CSV carries none),
@@ -276,15 +281,18 @@ def test_verify_limits(capsys, suite):
         code, doc = _run_json(capsys, "verify", suite, "--n", n)
         assert code == 2 and doc["payload"]["code"] == "usage-error"
     code, doc = _run_json(capsys, "--max-dim", "2047", "verify", suite, "--n", "4")
-    assert code == 3 and doc["payload"]["code"] == "resource-limit"
+    assert code == 3 and doc["payload"] == {
+        "code": "resource-limit", "reason": "states: 2^11 > --max-dim 2047"
+    }
     code, doc = _run_json(capsys, "--max-dim", "2048", "verify", suite, "--n", "4")
     assert code == 0 and doc["payload"]["passed"]
     code, doc = _run_json(capsys, "verify", suite, "--n", "6")
     assert code == 0 and doc["payload"]["passed"] and len(doc["payload"]["checks"]) >= 2
     for n in ("7", "20"):
         code, doc = _run_json(capsys, "--max-dim", str(1 << 62), "verify", suite, "--n", n)
-        assert code == 3 and doc["payload"]["code"] == "resource-limit"
-        assert "n <= 6" in doc["payload"]["reason"]
+        assert code == 3 and doc["payload"] == {
+            "code": "resource-limit", "reason": f"matrix suite: n = {n} > 6"
+        }
 
 
 def test_spectrum(capsys):
@@ -417,28 +425,72 @@ def test_dimension_guard_handles_huge_windows(capsys):
 
 
 def test_dimension_guard_agrees_with_the_dimension():
-    from nicolai.cli import _CommandFailure, _guard_dimension
+    # the states row refuses exactly the windows of more than --max-dim states
+    from nicolai.cli import _CommandFailure, _check
 
     limits = list(range(-3, 70)) + [(1 << 40) + d for d in (-1, 0, 1)] + [-(1 << 40)]
     for max_dim in limits:
-        for size in range(45):
+        for n, edge in itertools.product(range(1, 22), ("open", "closed", None)):
+            size = 2 * n + (1 if edge == "closed" else 3)
+            args = SimpleNamespace(n=n, max_dim=max_dim, **({"edge": edge} if edge else {}))
             try:
-                _guard_dimension(size, max_dim)
+                _check(args, "states")
                 refused = False
             except _CommandFailure as failure:
                 refused = failure.code == 3
-            assert refused == ((1 << size) > max_dim), (size, max_dim)
+                assert failure.reason == f"states: 2^{size} > --max-dim {max_dim}"
+            assert refused == ((1 << size) > max_dim), (n, edge, max_dim)
 
 
 def test_transfer_count_cap(capsys):
-    code, doc = _run_json(capsys, "count", "--n", "9000", "--method", "transfer")
-    assert code == 0 and doc["payload"]["count"] == 2 * 3**8999
-    for n in ("9001", "1000000"):
+    # 2 * 3**9011 has 4300 digits, the most Python prints by default
+    code, doc = _run_json(capsys, "count", "--n", "9012", "--method", "transfer")
+    assert code == 0 and doc["payload"]["count"] == 2 * 3**9011
+    for n in ("9013", "1000000"):
         code, doc = _run_json(capsys, "count", "--n", n, "--method", "transfer")
         assert code == 3 and doc["payload"] == {
             "code": "resource-limit",
-            "reason": "transfer count capped at n <= 9000",
+            "reason": f"printed digits: 2*3^{int(n) - 1} has more than 4300 digits",
         }
+
+
+@pytest.fixture
+def int_max_str_digits():
+    # the interpreter's digit limit, restored after the test sets it
+    kept = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(kept)
+
+
+def test_transfer_count_follows_the_printed_digit_limit(capsys, monkeypatch, int_max_str_digits):
+    # the count is refused before it is computed, under whatever limit is set
+    monkeypatch.setattr("nicolai.cli.count_transfer", lambda n: pytest.fail("counted"))
+    int_max_str_digits(1000)
+    code, doc = _run_json(capsys, "count", "--n", "3000", "--method", "transfer")
+    assert code == 3 and doc["payload"] == {
+        "code": "resource-limit", "reason": "printed digits: 2*3^2999 has more than 1000 digits"
+    }
+    monkeypatch.undo()
+    code, doc = _run_json(capsys, "count", "--n", "2096", "--method", "transfer")
+    assert code == 0 and doc["payload"]["count"] == 2 * 3**2095  # 1000 digits
+    # 0 lifts Python's limit; the transfer count keeps its default of 4300
+    int_max_str_digits(0)
+    code, doc = _run_json(capsys, "count", "--n", "9012", "--method", "transfer")
+    assert code == 0 and doc["payload"]["count"] == 2 * 3**9011
+    code, doc = _run_json(capsys, "count", "--n", "9013", "--method", "transfer")
+    assert code == 3 and doc["payload"]["reason"] == (
+        "printed digits: 2*3^9012 has more than 4300 digits"
+    )
+
+
+def test_transfer_count_under_a_low_digit_limit_exits_3():
+    env = dict(os.environ, PYTHONPATH=str(Path(nicolai.__file__).resolve().parents[1]),
+               PYTHONINTMAXSTRDIGITS="1000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nicolai.cli", "count", "--n", "3000", "--method", "transfer"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3 and json.loads(proc.stdout)["payload"]["code"] == "resource-limit"
 
 
 def test_spectrum_default_max_dim_admits_n6(capsys):
@@ -545,19 +597,28 @@ def test_generate_usage_errors(capsys):
 
 
 def test_generate_and_replay_size_guard(capsys, tmp_path):
-    code, doc = _run_json(capsys, "--max-dim", "16", "generate", "--n", "2", "--target", "00011")
-    assert code == 3 and doc["payload"]["code"] == "resource-limit"
-    assert "max-dim 16" in doc["payload"]["reason"]
-    code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "00011")
+    # generate holds the 2 * 3**(n-1) ground configurations, 6 at n = 2, not
+    # the 2^5 states of its window; replay holds one vector and has no limit
+    code, doc = _run_json(capsys, "--max-dim", "5", "generate", "--n", "2", "--target", "00011")
+    assert code == 3 and doc["payload"] == {
+        "code": "resource-limit", "reason": "ground configurations: 2*3^1 > --max-dim 5"
+    }
+    code, doc = _run_json(capsys, "--max-dim", "6", "generate", "--n", "2", "--target", "00011")
+    assert code == 0 and doc["payload"]["replay_verified"]
     word_file = tmp_path / "word.json"
     word_file.write_text(json.dumps(doc["payload"]))
-    code, doc = _run_json(capsys, "--max-dim", "16", "replay", "--word", str(word_file))
-    assert code == 3 and doc["payload"]["code"] == "resource-limit"
-    # a 29-site word is refused under the default --max-dim before any replay
+    code, doc = _run_json(capsys, "--max-dim", "1", "replay", "--word", str(word_file))
+    assert code == 0 and doc["payload"]["consistent"]
+    # a 29-site word replays under the default --max-dim
     wide = {"start": "fock", "k": 0, "l": 14, "target": "0" * 29, "predicted_sign": 1, "steps": []}
     word_file.write_text(json.dumps(wide))
-    code, doc = _run_json(capsys, "replay", "--word", str(word_file))
-    assert code == 3 and doc["payload"]["code"] == "resource-limit"
+    code, out = _run(capsys, "replay", "--word", str(word_file))
+    assert code == 0
+    assert re.sub(r'"elapsed_ms":[^,}]+,', "", out) == (
+        '{"command":"replay","params":{"command":"replay","seed":0,"word":"%s"},'
+        '"payload":{"consistent":true,"predicted_sign":1,"steps":0,'
+        '"target":"00000000000000000000000000000"},"status":"ok"}\n' % word_file
+    )
 
 def test_replay_detects_tampering(capsys, tmp_path):
     code, doc = _run_json(capsys, "generate", "--n", "2", "--target", "11100")
@@ -731,6 +792,164 @@ def test_spectrum_beyond_the_packed_key_is_resource_limit(capsys, argv):
         '"status":"failure"}\n' % (edge, argv[-1])
     )
 
+
+
+# -- the size limits: each row of ``cli._LIMITS`` one past its limit, and the
+# unchanged document at the limit ---------------------------------------------
+
+_T13 = "0" * 27  # a ground configuration at n = 13
+
+
+@pytest.mark.parametrize("argv, params, reason", [
+    (["enumerate", "charges", "--n", "13"],
+     '"command":"enumerate","kind":"charges","n":13,"seed":0',
+     "ground configurations: 2*3^12 > --max-dim 524288"),
+    (["--format", "csv", "enumerate", "ground-configs", "--n", "13"],
+     '"command":"enumerate","kind":"ground-configs","n":13,"seed":0',
+     "ground configurations: 2*3^12 > --max-dim 524288"),
+    (["count", "--n", "13"], '"command":"count","method":"both","n":13,"seed":0',
+     "ground configurations: 2*3^12 > --max-dim 524288"),
+    (["count", "--n", "13", "--method", "enumerate"],
+     '"command":"count","method":"enumerate","n":13,"seed":0',
+     "ground configurations: 2*3^12 > --max-dim 524288"),
+    (["count", "--n", "9013", "--method", "transfer"],
+     '"command":"count","method":"transfer","n":9013,"seed":0',
+     "printed digits: 2*3^9012 has more than 4300 digits"),
+    (["generate", "--n", "13", "--target", _T13],
+     '"command":"generate","n":13,"seed":0,"start":"fock","target":"%s"' % _T13,
+     "ground configurations: 2*3^12 > --max-dim 524288"),
+    (["--max-dim", "1062881", "generate", "--n", "13", "--target", _T13],
+     '"command":"generate","n":13,"seed":0,"start":"fock","target":"%s"' % _T13,
+     "ground configurations: 2*3^12 > --max-dim 1062881"),
+    (["spectrum", "--n", "9"], '"command":"spectrum","edge":"open","n":9,"sector":"all","seed":0',
+     "states: 2^21 > --max-dim 524288"),
+    (["spectrum", "--n", "10", "--edge", "closed"],
+     '"command":"spectrum","edge":"closed","n":10,"sector":"all","seed":0',
+     "states: 2^21 > --max-dim 524288"),
+    (["--max-dim", "127", "spectrum", "--n", "2"],
+     '"command":"spectrum","edge":"open","n":2,"sector":"all","seed":0',
+     "states: 2^7 > --max-dim 127"),
+    (["verify", "algebra", "--n", "7"], '"command":"verify","n":7,"seed":0,"suite":"algebra"',
+     "matrix suite: n = 7 > 6"),
+    (["--max-dim", "8191", "verify", "charges", "--n", "5"],
+     '"command":"verify","n":5,"seed":0,"suite":"charges"', "states: 2^13 > --max-dim 8191"),
+])
+def test_limit_refusals_pinned(capsys, argv, params, reason):
+    code, out = _run(capsys, *argv)
+    command = re.match(r'"command":"(\w+)"', params).group(1)
+    assert code == 3
+    assert re.sub(r'"elapsed_ms":[^,}]+,', "", out) == (
+        '{"command":"%s","params":{%s},"payload":{"code":"resource-limit","reason":"%s"},'
+        '"status":"failure"}\n' % (command, params, reason)
+    )
+
+
+# sha256 of documents at a limit, as ENUMERATE_DIGESTS (COUNT_DIGESTS has
+# count --n 12); the generate ones are the documents printed under a raised
+# --max-dim when n = 12 needed one.
+LIMIT_DIGESTS = {
+    ("enumerate", "charges", "--n", "12"):
+        "f796e7a6b39def31d9a09df0d8e27cd740c30f778e13388ba93a4b554b70c40a",
+    ("enumerate", "ground-configs", "--n", "12"):
+        "be1906c71dd8a60288a1dc251dff2cf0c2108d8eb73ecd6c75154a1ac84194ed",
+    ("--format", "csv", "enumerate", "ground-configs", "--n", "12"):
+        "9cab541119bf3bb3e011d3ff2d04bf375c0c57084c83303d917f6b67b32a20f0",
+    ("generate", "--n", "12", "--target", "0001000111000111110000111"):
+        "da87b179984568f7e358474e9bc92184e4a77eeb21ef511bf943e8d36d2e56ba",
+    ("generate", "--n", "12", "--target", "0000011100000100011000111", "--start", "occupied"):
+        "ee1c5fc230b95876a6ef7daf9dc40f6e230805df080ba8c1d11d4dfa88915955",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LIMIT_DIGESTS))
+def test_documents_at_the_limit_pinned(capsys, argv):
+    assert _document_digest(capsys, *argv) == LIMIT_DIGESTS[argv]
+
+
+def test_each_limit_admits_its_boundary(capsys):
+    # at exactly --max-dim states or configurations the command runs, and
+    # --max-dim does not enter the payload (test_verify_limits has verify)
+    for argv in (["spectrum", "--n", "2"], ["spectrum", "--n", "3", "--edge", "closed"]):
+        _, default = _run_json(capsys, *argv)
+        code, doc = _run_json(capsys, "--max-dim", "128", *argv)
+        assert code == 0 and doc["payload"] == default["payload"]
+    code, doc = _run_json(capsys, "--max-dim", "6", "count", "--n", "2", "--method", "enumerate")
+    assert code == 0 and doc["payload"]["count"] == 6
+    code, doc = _run_json(capsys, "--max-dim", "6", "enumerate", "ground-configs", "--n", "2")
+    assert code == 0 and doc["payload"]["count"] == 6
+    code, doc = _run_json(capsys, "--max-dim", "5", "enumerate", "ground-configs", "--n", "2")
+    assert code == 3 and doc["payload"]["reason"] == "ground configurations: 2*3^1 > --max-dim 5"
+    # 2 * 3**12 = 1062882 configurations
+    for max_dim in ("1062882", "2097152"):
+        code, doc = _run_json(capsys, "--max-dim", max_dim, "generate", "--n", "13",
+                              "--target", "000011000000001100000110000")
+        assert code == 0 and doc["payload"]["replay_verified"] and len(doc["payload"]["steps"]) == 4
+
+
+_HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", _HUGE),
+    ("spectrum", "--edge", "closed", "--n", _HUGE),
+    ("verify", "charges", "--n", _HUGE),
+    ("enumerate", "ground-configs", "--n", _HUGE),
+    ("count", "--n", _HUGE, "--method", "enumerate"),
+    ("count", "--n", _HUGE, "--method", "transfer"),
+    ("generate", "--n", _HUGE, "--target", "0"),
+    ("--max-dim", str(1 << 62), "generate", "--n", _HUGE, "--target", "0"),
+])
+def test_a_huge_n_is_refused_at_once(capsys, argv):
+    # no row builds its set's size past the limit
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code, out = _run(capsys, *argv)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and elapsed < 0.05 and peak < 1 << 20
+    assert json.loads(out)["payload"]["code"] == "resource-limit"
+
+
+def test_every_row_refuses_a_huge_n_at_once():
+    from nicolai.cli import _LIMITS, _CommandFailure, _check
+
+    args = SimpleNamespace(n=10**12, max_dim=1 << 62, edge="open")
+    for row in _LIMITS:
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(_CommandFailure) as refusal:
+                _check(args, row)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refusal.value.code == 3 and refusal.value.reason.startswith(row + ": ")
+        assert elapsed < 0.05 and peak < 1 << 20, row
+
+
+@pytest.mark.parametrize("argv, params", [
+    (("enumerate", "charges", "--n", "31"), '"kind":"charges","n":31,"seed":0'),
+    (("count", "--n", "31", "--method", "enumerate"), '"method":"enumerate","n":31,"seed":0'),
+])
+def test_words_beyond_int64_are_resource_limit(capsys, argv, params):
+    # 2 * 3**30 configurations pass a raised --max-dim, but their 63-letter
+    # words do not fit in int64: refused before any word is made
+    tracemalloc.start()
+    try:
+        code, out = _run(capsys, "--max-dim", str(1 << 62), *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    assert re.sub(r'"elapsed_ms":[^,}]+,', "", out) == (
+        '{"command":"%s","params":{"command":"%s",%s},"payload":{"code":"resource-limit",'
+        '"reason":"words of 63 letters do not fit in int64"},"status":"failure"}\n'
+        % (argv[0], argv[0], params)
+    )
 
 def test_count_keeps_no_word_list(capsys):
     # the 354,294 words of n = 12 take 2.8 MB as one int64 array
@@ -951,7 +1170,9 @@ def test_enumerate_keeps_its_failure_documents(capsys, kind, fmt):
     assert doc["payload"] == {"code": "usage-error", "reason": "k < l required"}
     code, doc = _run_json(capsys, "--format", fmt, "enumerate", kind, "--n", "13")
     assert code == 3 and doc["status"] == "failure"
-    assert doc["payload"] == {"code": "resource-limit", "reason": "enumeration capped at n <= 12"}
+    assert doc["payload"] == {
+        "code": "resource-limit", "reason": "ground configurations: 2*3^12 > --max-dim 524288"
+    }
 
 
 # -- bad command lines and fuzzed inputs --------------------------------------

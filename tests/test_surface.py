@@ -120,3 +120,37 @@ def test_the_forbidden_triplet_rule_is_stated_once():
                 assert node.name != "_alternates", path.name
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 assert node.id != "_alternates", path.name
+
+
+def test_every_size_limit_is_a_row_of_the_table():
+    # a limit restated as a module constant, or a resource refusal raised
+    # outside ``cli._check``, escapes the one table of limits
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                for name in ast.walk(node):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        assert not name.id.endswith("_CAP"), f"{path.name}:{node.lineno}"
+
+    def label(node):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            return node.targets[0].id
+        return getattr(node, "name", f"line {node.lineno}")
+
+    users = {
+        label(node)
+        for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if any(isinstance(n, ast.Name) and n.id == "_EXIT_RESOURCE" for n in ast.walk(node))
+    }
+    # besides its definition and its reason code, only the check and the
+    # exception mapping of ``_run`` name the exit code
+    assert users == {"_EXIT_RESOURCE", "_REASON_CODES", "_check", "_run"}
+
+
+def test_readme_names_every_limit_row():
+    # the README's limits paragraph gives one sentence per row of the table
+    from nicolai.cli import _LIMITS
+
+    readme = (ROOT / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if "`_LIMITS`" in p)
+    assert re.findall(r"\*\*([a-z ]+)\*\*", paragraph) == list(_LIMITS)
